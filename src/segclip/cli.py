@@ -8,6 +8,7 @@ success, 1 on usage or input errors, 2 when verification finds a mismatch.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .baselines import UnknownClipperError, get_clipper, registered_clippers
@@ -110,57 +111,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path):
+def _clip_file(args, write):
+    """Read args.input, clip it with args.algo and call write(segments,
+    clipped).  Returns the (read, clipped) counts, or None after reporting
+    an error on stderr.  Cyclic GC stays paused throughout, as the run makes
+    only acyclic tuples of floats, which reference counting frees."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return read_segments(path)
-    except OSError as exc:
-        print(f"segclip: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    except SegmentFormatError as exc:
-        print(f"segclip: {path}: {exc}", file=sys.stderr)
-        return None
+        try:
+            segments = read_segments(args.input)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"segclip: cannot read {args.input}: {exc}", file=sys.stderr)
+            return None
+        except SegmentFormatError as exc:
+            print(f"segclip: {args.input}: {exc}", file=sys.stderr)
+            return None
+        try:
+            clip = get_clipper(args.algo)
+        except UnknownClipperError:
+            print(f"segclip: unknown algorithm: {args.algo}", file=sys.stderr)
+            return None
+        counters = Counters()
+        clipped = [r for s in segments
+                   if (r := clip(s, args.window, counters)) is not None]
+        try:
+            write(segments, clipped)
+        except OSError as exc:
+            print(f"segclip: cannot write {args.output}: {exc}", file=sys.stderr)
+            return None
+        return len(segments), len(clipped)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def cmd_clip(args) -> int:
-    segments = _read_input(args.input)
-    if segments is None:
+    counts = _clip_file(
+        args, lambda segments, clipped: write_segments(args.output, clipped))
+    if counts is None:
         return USAGE_ERROR
-    try:
-        clip = get_clipper(args.algo)
-    except UnknownClipperError:
-        print(f"segclip: unknown algorithm: {args.algo}", file=sys.stderr)
-        return USAGE_ERROR
-    counters = Counters()
-    accepted = []
-    for s in segments:
-        r = clip(s, args.window, counters)
-        if r is not None:
-            accepted.append(r)
-    write_segments(args.output, accepted)
-    print(f"read {len(segments)} accepted {len(accepted)} "
-          f"rejected {len(segments) - len(accepted)}")
+    read, accepted = counts
+    print(f"read {read} accepted {accepted} rejected {read - accepted}")
     return 0
 
 
 def cmd_render(args) -> int:
-    segments = _read_input(args.input)
-    if segments is None:
+    def write_svg(segments, clipped):
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(render_svg(segments, clipped, args.window))
+
+    counts = _clip_file(args, write_svg)
+    if counts is None:
         return USAGE_ERROR
-    try:
-        clip = get_clipper(args.algo)
-    except UnknownClipperError:
-        print(f"segclip: unknown algorithm: {args.algo}", file=sys.stderr)
-        return USAGE_ERROR
-    counters = Counters()
-    clipped = []
-    for s in segments:
-        r = clip(s, args.window, counters)
-        if r is not None:
-            clipped.append(r)
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(render_svg(segments, clipped, args.window))
-    print(f"rendered {len(segments)} segments ({len(clipped)} clipped) "
-          f"to {args.output}")
+    read, clipped = counts
+    print(f"rendered {read} segments ({clipped} clipped) to {args.output}")
     return 0
 
 

@@ -133,20 +133,35 @@ def _parse_real(token: str, line_number: int) -> float:
     return v
 
 
+def _parse_line(tokens: list[str], line_number: int) -> tuple[float, ...]:
+    """The four coordinates of one line's tokens, or SegmentFormatError for
+    its first fault: the arity, then each token in column order."""
+    if len(tokens) != 4:
+        raise SegmentFormatError(
+            line_number, f"expected 4 coordinates, got {len(tokens)}")
+    return tuple(_parse_real(t, line_number) for t in tokens)
+
+
 def parse_segments(lines: Iterable[str]) -> list[Segment]:
     """Parse the segment text format; raises SegmentFormatError with a 1-based
     line number on the first malformed line."""
     segments = []
+    append = segments.append
+    new = tuple.__new__  # skips the named tuples' own __new__
     for line_number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = stripped.split()
-        if len(tokens) != 4:
-            raise SegmentFormatError(
-                line_number, f"expected 4 coordinates, got {len(tokens)}")
-        x1, y1, x2, y2 = (_parse_real(t, line_number) for t in tokens)
-        segments.append(Segment(Point(x1, y1), Point(x2, y2)))
+        try:
+            x1, y1, x2, y2 = map(float, tokens)
+        except ValueError:  # wrong arity or a token that is not a number
+            x1 = y1 = x2 = y2 = math.nan
+        # v * 0.0 is a zero for finite v and NaN for NaN or an infinity.  A
+        # line failing either check goes through _parse_line, which raises
+        # the error for its first fault.
+        if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
+            x1, y1, x2, y2 = _parse_line(tokens, line_number)
+        append(new(Segment, (new(Point, (x1, y1)), new(Point, (x2, y2)))))
     return segments
 
 
@@ -156,7 +171,9 @@ def read_segments(path) -> list[Segment]:
 
 
 def write_segments(path, segments: Iterable[Segment]) -> None:
+    # one format per line; the same bytes as joining segment_line's lines
+    line = "%.9g %.9g %.9g %.9g\n"
     with open(path, "w", encoding="utf-8") as f:
-        for s in segments:
-            f.write(segment_line(s))
-            f.write("\n")
+        write = f.write
+        for (x1, y1), (x2, y2) in segments:
+            write(line % (float(x1), float(y1), float(x2), float(y2)))

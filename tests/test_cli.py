@@ -1,3 +1,4 @@
+import gc
 import re
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from segclip import (GeneratorSpec, Segment, Point, Window, exact_clip,
                      gen_segments, register_clipper, unregister_clipper,
                      write_segments)
+import segclip.cli as cli
 from segclip.cli import main
 from segclip.oracle import DEFAULT_WINDOW
 
@@ -102,6 +104,69 @@ def test_clip_algo_selection_agrees_numerically(tmp_path):
     for a, b, c in zip(*outs):
         for u, v, w in zip((*a.a, *a.b), (*b.a, *b.b), (*c.a, *c.b)):
             assert abs(u - v) <= 1e-8 and abs(u - w) <= 1e-8
+
+
+def test_clip_input_not_utf8(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"0 0 1 1\n\xff\xfe 2 3 4\n")
+    code = run_cli("clip", str(src), "-o", str(tmp_path / "out.txt"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"segclip: cannot read {src}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("command", ["clip", "render"])
+def test_unwritable_output(tmp_path, capsys, command):
+    src = tmp_path / "in.txt"
+    src.write_text("-5 5 5 5\n")
+    dst = tmp_path / "missing-dir" / "out"
+    assert run_cli(command, str(src), "-o", str(dst)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"segclip: cannot write {dst}: ")
+    assert captured.out == ""
+
+
+def test_clip_runs_with_gc_paused(tmp_path, monkeypatch):
+    seen = []
+    read, write = cli.read_segments, cli.write_segments
+
+    def spy_read(path):
+        seen.append(gc.isenabled())
+        return read(path)
+
+    def spy_write(path, segments):
+        seen.append(gc.isenabled())
+        write(path, segments)
+
+    monkeypatch.setattr(cli, "read_segments", spy_read)
+    monkeypatch.setattr(cli, "write_segments", spy_write)
+    src = tmp_path / "in.txt"
+    src.write_text("-5 5 5 5\n")
+    assert gc.isenabled()
+    assert run_cli("clip", str(src), "-o", str(tmp_path / "out.txt")) == 0
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+@pytest.mark.parametrize("case", ["ok", "parse-error", "unknown-algo",
+                                  "unwritable"])
+@pytest.mark.parametrize("command", ["clip", "render"])
+def test_cli_leaves_gc_state_alone(tmp_path, capsys, command, case, gc_enabled):
+    src = tmp_path / "in.txt"
+    src.write_text("abc\n" if case == "parse-error" else "-5 5 5 5\n")
+    dst = tmp_path / ("missing-dir" if case == "unwritable" else "") / "out"
+    argv = [command, str(src), "-o", str(dst)]
+    if case == "unknown-algo":
+        argv += ["--algo", "nln"]
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        code = run_cli(*argv)
+        assert gc.isenabled() is gc_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert code == (0 if case == "ok" else 1)
 
 
 # --- render -------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -61,12 +63,20 @@ def test_parse_basic_with_comments_and_blanks():
         "  -5 5 5 5",
         "\t0 0  10 10 ",
         "   # indented comment",
+        "\t# tab-indented comment",
+        "#1 2 3 4",
+        "1.5e-3 -0 2 3\r\n",
     ]
     segs = parse_segments(text)
     assert segs == [
         Segment(Point(-5.0, 5.0), Point(5.0, 5.0)),
         Segment(Point(0.0, 0.0), Point(10.0, 10.0)),
+        Segment(Point(1.5e-3, -0.0), Point(2.0, 3.0)),
     ]
+    for s in segs:
+        assert type(s) is Segment
+        assert type(s.a) is Point and type(s.b) is Point
+        assert all(type(v) is float for v in (*s.a, *s.b))
 
 
 def test_parse_error_reports_line_number():
@@ -87,6 +97,36 @@ def test_parse_rejects_non_finite():
         parse_segments(["nan 0 1 1"])
     with pytest.raises(SegmentFormatError):
         parse_segments(["0 0 inf 1"])
+
+
+def _bad_column(token, column):
+    fields = ["1", "2", "3", "4"]
+    fields[column] = token
+    return " ".join(fields)
+
+
+PARSE_ERRORS = [
+    ("1 2 3", "expected 4 coordinates, got 3"),
+    ("1 2 3 4 5", "expected 4 coordinates, got 5"),
+    ("1 2 x 4 5", "expected 4 coordinates, got 5"),
+    ("abc nan 1 2", "not a number: 'abc'"),
+    ("nan abc 1 2", "coordinate must be finite: 'nan'"),
+    ("1 inf 2 -", "coordinate must be finite: 'inf'"),
+    ("1 2 0x10 1e999", "not a number: '0x10'"),
+    *[(_bad_column(tok, col), f"not a number: {tok!r}")
+      for col in range(4) for tok in ("x", "1,5")],
+    *[(_bad_column(tok, col), f"coordinate must be finite: {tok!r}")
+      for col in range(4) for tok in ("nan", "inf", "-inf", "1e999")],
+]
+
+
+@pytest.mark.parametrize("line,message", PARSE_ERRORS)
+def test_parse_error_text_and_line_number(line, message):
+    lines = ["# header", "0 0 1 1", "", line, "also bad"]
+    with pytest.raises(SegmentFormatError) as exc:
+        parse_segments(lines)
+    assert exc.value.line_number == 4
+    assert str(exc.value) == f"line 4: {message}"
 
 
 def test_roundtrip_through_file(tmp_path):
@@ -113,3 +153,22 @@ def test_format_coord_reparse_stable(v):
     # parse(format(v)) formats back to the same text
     once = format_coord(v)
     assert format_coord(float(once)) == once
+
+
+_doubles = st.one_of(
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300]),
+    st.integers(-10**18, 10**18),
+)
+_segments = st.builds(Segment, st.builds(Point, _doubles, _doubles),
+                      st.builds(Point, _doubles, _doubles))
+
+
+@given(st.lists(_segments, max_size=8))
+def test_write_segments_matches_segment_line(segs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "segs.txt"
+        write_segments(path, segs)
+        written = path.read_bytes()
+    assert written == "".join(segment_line(s) + "\n" for s in segs).encode()
