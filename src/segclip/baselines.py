@@ -1,4 +1,4 @@
-"""Instrumented classic clippers and the pluggable clipper registry.
+"""Instrumented classic clippers and the table of clippers by id.
 
 Cohen-Sutherland classifies endpoints with 4-bit region outcodes and clips
 iteratively against boundary lines; Liang-Barsky confines the parametric
@@ -6,15 +6,13 @@ form x = x1 + (x2 - x1)t, y = y1 + (y2 - y1)t, 0 <= t <= 1, to the window.
 Both intersect against boundary *lines*, so both can spend divisions on
 points that never appear in the output; the counters make that visible.
 
-The registry maps clipper ids to functions with the uniform signature
-(segment, window, counters) -> clipped segment or None, so benchmark and
-verification harnesses treat every algorithm identically and additional
-clippers can be plugged in without harness changes.
+`CLIPPERS` maps the ids "quadclip", "cs" and "lb" to functions with the
+uniform signature (segment, window, counters) -> clipped segment or None,
+so the benchmark, verification and CLI treat every algorithm identically.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Dict
 
 from .geom import ClipResult, Counters, Point, Segment, Window
@@ -26,23 +24,6 @@ LEFT = 1
 RIGHT = 2
 BOTTOM = 4
 TOP = 8
-
-Outcode = int
-
-
-def outcode(p: Point, w: Window) -> Outcode:
-    """4-bit region code of p relative to w (left/right and bottom/top bits
-    are mutually exclusive by construction)."""
-    code = INSIDE
-    if p[0] < w[0]:
-        code |= LEFT
-    elif p[0] > w[1]:
-        code |= RIGHT
-    if p[1] < w[2]:
-        code |= BOTTOM
-    elif p[1] > w[3]:
-        code |= TOP
-    return code
 
 
 def cs_clip(s: Segment, w: Window, counters: Counters) -> ClipResult:
@@ -77,15 +58,8 @@ def cs_clip(s: Segment, w: Window, counters: Counters) -> ClipResult:
     elif y2 > yt:
         code2 |= TOP
 
-    while True:
-        if not (code1 | code2):
-            break  # both inside: accept
-        if code1 & code2:
-            counters.predicate_evals += pe
-            if ic:
-                counters.divisions += ic
-                counters.intersections_computed += ic
-            return None  # both strictly beyond one boundary
+    # until both are inside, or both strictly beyond one boundary
+    while code1 | code2 and not code1 & code2:
         code = code1 if code1 else code2
         ic += 1
         if code & LEFT:
@@ -119,6 +93,8 @@ def cs_clip(s: Segment, w: Window, counters: Counters) -> ClipResult:
     if ic:
         counters.divisions += ic
         counters.intersections_computed += ic
+    if code1 | code2:
+        return None
     return Segment(Point(x1, y1), Point(x2, y2))
 
 
@@ -142,30 +118,23 @@ def lb_clip(s: Segment, w: Window, counters: Counters) -> ClipResult:
         pe += 1
         if p == 0.0:
             if q < 0.0:
-                counters.predicate_evals += pe
-                if dv:
-                    counters.divisions += dv
-                return None  # parallel to this boundary and outside it
+                t1 = -1.0  # parallel to this boundary and outside it
+                break
         else:
             dv += 1
             r = q / p
             if p < 0.0:  # entering constraint: t >= r
-                if r > t1:
-                    counters.predicate_evals += pe
-                    counters.divisions += dv
-                    return None
                 if r > t0:
                     t0 = r
-            else:  # leaving constraint: t <= r
-                if r < t0:
-                    counters.predicate_evals += pe
-                    counters.divisions += dv
-                    return None
-                if r < t1:
-                    t1 = r
+            elif r < t1:  # leaving constraint: t <= r
+                t1 = r
+            if t0 > t1:
+                break  # no parameter satisfies every constraint so far
     counters.predicate_evals += pe
     if dv:
         counters.divisions += dv
+    if t0 > t1:
+        return None
     if t0 > 0.0:
         counters.intersections_computed += 1
         a = Point(x1 + t0 * dx, y1 + t0 * dy)
@@ -179,51 +148,18 @@ def lb_clip(s: Segment, w: Window, counters: Counters) -> ClipResult:
     return Segment(a, b)
 
 
-class ClipperId(str, Enum):
-    """Identifiers of the built-in clippers; registry keys are their values."""
-
-    QUADCLIP = "quadclip"
-    COHEN_SUTHERLAND = "cs"
-    LIANG_BARSKY = "lb"
-
-
 ClipFn = Callable[[Segment, Window, Counters], ClipResult]
+
+CLIPPERS: Dict[str, ClipFn] = {"quadclip": clip_segment, "cs": cs_clip,
+                               "lb": lb_clip}
 
 
 class UnknownClipperError(KeyError):
-    """No clipper registered under the requested id."""
+    """No clipper under the requested id."""
 
 
-_REGISTRY: Dict[str, ClipFn] = {
-    ClipperId.QUADCLIP.value: clip_segment,
-    ClipperId.COHEN_SUTHERLAND.value: cs_clip,
-    ClipperId.LIANG_BARSKY.value: lb_clip,
-}
-
-
-def clipper_key(clipper: "ClipperId | str") -> str:
-    return clipper.value if isinstance(clipper, ClipperId) else str(clipper)
-
-
-def get_clipper(clipper: "ClipperId | str") -> ClipFn:
+def get_clipper(name: str) -> ClipFn:
     try:
-        return _REGISTRY[clipper_key(clipper)]
+        return CLIPPERS[name]
     except KeyError:
-        raise UnknownClipperError(clipper_key(clipper)) from None
-
-
-def register_clipper(clipper_id: str, fn: ClipFn, replace: bool = False) -> None:
-    """Add a clipper to the registry (future algorithms plug in here)."""
-    key = clipper_key(clipper_id)
-    if key in _REGISTRY and not replace:
-        raise ValueError(f"clipper already registered: {key}")
-    _REGISTRY[key] = fn
-
-
-def unregister_clipper(clipper_id: str) -> None:
-    _REGISTRY.pop(clipper_key(clipper_id), None)
-
-
-def registered_clippers() -> tuple[str, ...]:
-    """Registered ids in registration order (the built-ins come first)."""
-    return tuple(_REGISTRY)
+        raise UnknownClipperError(name) from None

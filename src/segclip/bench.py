@@ -1,14 +1,14 @@
 """Timing harness: average total execution time per clipper and relative ratios.
 
-Each pass clips one freshly generated seeded corpus; every registered clipper
-sees the same corpus within a pass, and a different corpus is used in each
-pass.  A monotonic clock wraps the whole corpus pass (per-segment timing at
-size 10 would mostly measure the clock).  Corpus generation and I/O stay
-outside the timed region.  An order-independent checksum over the accepted
-output coordinates, rounded to 6 decimals, both keeps the timed work
-observable and catches any cross-algorithm output disagreement; the rounding
-absorbs the sub-tolerance coordinate differences the algorithms may
-legitimately produce.
+Each pass clips one freshly generated seeded corpus; every clipper in
+`baselines.CLIPPERS` sees the same corpus within a pass, and a different
+corpus is used in each pass.  A monotonic clock wraps the whole corpus pass
+(per-segment timing at size 10 would mostly measure the clock).  Corpus
+generation and I/O stay outside the timed region.  An order-independent
+checksum over the accepted output coordinates, rounded to 6 decimals, both
+keeps the timed work observable and catches any cross-algorithm output
+disagreement; the rounding absorbs the sub-tolerance coordinate differences
+the algorithms may legitimately produce.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import io
 import time
 from dataclasses import dataclass
 
-from .baselines import ClipperId, get_clipper, registered_clippers
+from .baselines import CLIPPERS, get_clipper
 from .geom import Counters, Segment, Window
 from .oracle import DEFAULT_WINDOW, GeneratorSpec, default_region, gen_segments
 
@@ -30,12 +30,12 @@ PAPER_SCALE_SIZES = DEFAULT_SIZES + (10_000_000,)
 # (11th-gen i5-1135G7, average over 100 iterations).  Used only for
 # side-by-side display; local measurements are expected to differ.
 REFERENCE_RATIOS = {
-    ClipperId.LIANG_BARSKY.value: {
+    "lb": {
         10: 1.3665, 100: 1.2745, 1_000: 1.4713, 10_000: 1.4241,
         100_000: 1.4357, 1_000_000: 1.4472, 10_000_000: 1.4452,
         "average": 1.4092,
     },
-    ClipperId.COHEN_SUTHERLAND.value: {
+    "cs": {
         10: 1.2919, 100: 1.1884, 1_000: 1.2266, 10_000: 1.1833,
         100_000: 1.1860, 1_000_000: 1.1945, 10_000_000: 1.1941,
         "average": 1.2092,
@@ -115,7 +115,7 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
     `config.iterations` measured passes over fresh corpora.
 
     Raises RuntimeError if the clippers ever disagree on a pass checksum.
-    Row order: size ascending, then registry order; the quadclip row's ratio
+    Row order: size ascending, then `CLIPPERS` order; the quadclip row's ratio
     is 1.0 by construction.
     """
     if not config.sizes or any(s <= 0 for s in config.sizes):
@@ -125,8 +125,7 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
     if config.iterations < 1:
         raise ValueError(f"iterations must be >= 1: {config.iterations}")
 
-    clippers = registered_clippers()
-    quad = ClipperId.QUADCLIP.value
+    clippers = tuple(CLIPPERS)
     rows: list[BenchRow] = []
     for size in config.sizes:
         totals = {cid: 0.0 for cid in clippers}
@@ -149,7 +148,7 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
                 raise RuntimeError(
                     f"clipper outputs disagree at size {size}, "
                     f"pass {pass_index}: {pass_checksums}")
-        quad_avg = totals[quad] / config.iterations
+        quad_avg = totals["quadclip"] / config.iterations
         for cid in clippers:
             avg = totals[cid] / config.iterations
             rows.append(BenchRow(

@@ -11,7 +11,7 @@ import argparse
 import gc
 import sys
 
-from .baselines import UnknownClipperError, get_clipper, registered_clippers
+from .baselines import CLIPPERS, UnknownClipperError, get_clipper
 from .bench import (BenchConfig, DEFAULT_SIZES, PAPER_SCALE_SIZES, format_table,
                     run_suite, write_csv)
 from .geom import (Counters, SegmentFormatError, Window, read_segments,
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="clipping window (default 0,0,10,10)")
         if with_algo:
             p.add_argument("--algo", default="quadclip",
-                           metavar="|".join(registered_clippers()),
+                           metavar="|".join(CLIPPERS),
                            help="clipping algorithm (default quadclip)")
 
     p_clip = sub.add_parser("clip", help="clip a segment file")
@@ -111,6 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path, write) -> bool:
+    """Call write(); report an OSError as `cannot write path` on stderr."""
+    try:
+        write()
+    except OSError as exc:
+        print(f"segclip: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _clip_file(args, write):
     """Read args.input, clip it with args.algo and call write(segments,
     clipped).  Returns the (read, clipped) counts, or None after reporting
@@ -135,10 +150,7 @@ def _clip_file(args, write):
         counters = Counters()
         clipped = [r for s in segments
                    if (r := clip(s, args.window, counters)) is not None]
-        try:
-            write(segments, clipped)
-        except OSError as exc:
-            print(f"segclip: cannot write {args.output}: {exc}", file=sys.stderr)
+        if not _write(args.output, lambda: write(segments, clipped)):
             return None
         return len(segments), len(clipped)
     finally:
@@ -157,11 +169,8 @@ def cmd_clip(args) -> int:
 
 
 def cmd_render(args) -> int:
-    def write_svg(segments, clipped):
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(render_svg(segments, clipped, args.window))
-
-    counts = _clip_file(args, write_svg)
+    counts = _clip_file(args, lambda segments, clipped: _write_text(
+        args.output, render_svg(segments, clipped, args.window)))
     if counts is None:
         return USAGE_ERROR
     read, clipped = counts
@@ -187,7 +196,8 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"segclip: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    write_csv(rows, args.output)
+    if not _write(args.output, lambda: write_csv(rows, args.output)):
+        return USAGE_ERROR
     print(format_table(rows))
     print(f"wrote {args.output}")
     return 0
@@ -203,11 +213,13 @@ def cmd_verify(args) -> int:
         return USAGE_ERROR
     summary = report.summary()
     print(summary)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write(summary + "\n")
+    if args.report and not _write(
+            args.report, lambda: _write_text(args.report, summary + "\n")):
+        return USAGE_ERROR
     if args.failures and report.failures:
-        write_segments(args.failures, report.failures)
+        if not _write(args.failures,
+                      lambda: write_segments(args.failures, report.failures)):
+            return USAGE_ERROR
         print(f"wrote {len(report.failures)} failing inputs to {args.failures}")
     return 0 if report.ok else VERIFY_MISMATCH
 

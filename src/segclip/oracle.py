@@ -5,8 +5,8 @@ half-planes using integer arithmetic on a common power-of-two scale (every
 finite double is a rational, so the conversion is lossless) and reports the
 clipped endpoints as `fractions.Fraction` values.  No rounding happens
 anywhere, which makes it a trustworthy referee for the floating-point
-clippers: `check_equivalence` replays a seeded corpus through a registered
-clipper and the oracle and reports any disagreement.
+clippers: `check_equivalence` replays a seeded corpus through a clipper
+and the oracle and reports any disagreement.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from typing import Optional
 
 from .baselines import get_clipper
 from .geom import Counters, Point, Segment, Window, validate_window
-
-# Exact rational scalar used for oracle coordinates.
-Rational = Fraction
 
 DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 
@@ -159,15 +156,14 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
 
     Coordinates are compared with absolute allowance
     tolerance * max(1, window extent); accept/reject decisions must agree
-    exactly.  Raises UnknownClipperError for an unregistered id.
+    exactly.  Raises UnknownClipperError for an unknown id.
     """
     clip = get_clipper(clipper)
     validate_window(w)
     abs_tol = tolerance * max(1.0, w.extent())
     segments, exacts = _corpus_with_oracle(spec, w)
     counters = Counters()
-    report = EquivalenceReport(clipper=str(getattr(clipper, "value", clipper)),
-                               tolerance=tolerance)
+    report = EquivalenceReport(clipper=clipper, tolerance=tolerance)
     for s, exact in zip(segments, exacts):
         report.cases_run += 1
         out = clip(s, w, counters)

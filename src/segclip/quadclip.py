@@ -41,26 +41,6 @@ def quad_orientation(p1: Point, p2: Point, corner: Point) -> float:
     return (cx - x2) * (y1 - cy) - (cy - y2) * (x1 - cx)
 
 
-def intersect_vertical(p1: Point, p2: Point, x_b: float, counters: Counters) -> Point:
-    """Crossing of the line through p1, p2 with the vertical line x == x_b.
-
-    Requires p1.x != p2.x; on the clipping path the same-side trivial
-    rejection guarantees this before any division happens.
-    """
-    (x1, y1), (x2, y2) = p1, p2
-    counters.divisions += 1
-    counters.intersections_computed += 1
-    return Point(x_b, y1 + (y2 - y1) * (x_b - x1) / (x2 - x1))
-
-
-def intersect_horizontal(p1: Point, p2: Point, y_b: float, counters: Counters) -> Point:
-    """Crossing with the horizontal line y == y_b; requires p1.y != p2.y."""
-    (x1, y1), (x2, y2) = p1, p2
-    counters.divisions += 1
-    counters.intersections_computed += 1
-    return Point(x1 + (x2 - x1) * (y_b - y1) / (y2 - y1), y_b)
-
-
 @dataclass(frozen=True)
 class EndpointOutcome:
     """Result of processing one endpoint.
@@ -178,8 +158,9 @@ def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
     endpoint order; unmoved endpoints come through unchanged.
 
     This is the timed hot path, so the two `clip_endpoint` passes are
-    inlined (the loop swaps the endpoint roles between them) and counter
-    updates are batched per call; results and counts are identical to the
+    inlined (the loop swaps the endpoint roles between them), a rejection
+    sets flag 0 and breaks out of the loop, and the counts are added to
+    `counters` once per call; results and counts are identical to the
     two-call composition, which the test suite pins.
     """
     (ax, ay), (bx, by) = s
@@ -189,13 +170,8 @@ def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
     for _ in (0, 1):
         if ax < xl:
             if bx < xl:
-                if pe:
-                    c = counters
-                    c.predicate_evals += pe
-                    if ic:
-                        c.divisions += ic
-                        c.intersections_computed += ic
-                return None
+                flag = 0
+                break
             pe += 1
             u = xl - bx
             v = ax - xl
@@ -212,13 +188,8 @@ def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
                     flag = 1
         elif ax > xr:
             if bx > xr:
-                if pe:
-                    c = counters
-                    c.predicate_evals += pe
-                    if ic:
-                        c.divisions += ic
-                        c.intersections_computed += ic
-                return None
+                flag = 0
+                break
             pe += 1
             u = xr - bx
             v = ax - xr
@@ -238,13 +209,8 @@ def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
 
         if ay < yb:
             if by < yb:
-                c = counters
-                if pe:
-                    c.predicate_evals += pe
-                if ic:
-                    c.divisions += ic
-                    c.intersections_computed += ic
-                return None
+                flag = 0
+                break
             pe += 1
             u = ay - yb
             if (xl - bx) * u < (ax - xl) * (yb - by):
@@ -260,13 +226,8 @@ def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
                     flag = 1
         elif ay > yt:
             if by > yt:
-                c = counters
-                if pe:
-                    c.predicate_evals += pe
-                if ic:
-                    c.divisions += ic
-                    c.intersections_computed += ic
-                return None
+                flag = 0
+                break
             pe += 1
             u = ay - yt
             if (xl - bx) * u > (ax - xl) * (yt - by):
@@ -284,21 +245,17 @@ def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
             flag = 1
 
         if flag == 0:
-            c = counters
-            if pe:
-                c.predicate_evals += pe
-            if ic:
-                c.divisions += ic
-                c.intersections_computed += ic
-            return None
+            break
         ax, ay, bx, by = bx, by, ax, ay
 
-    c = counters
     if pe:
-        c.predicate_evals += pe
+        counters.predicate_evals += pe
+        if ic:  # every division follows a predicate
+            counters.divisions += ic
+            counters.intersections_computed += ic
+    if flag == 0:
+        return None
     if ic:
-        c.divisions += ic
-        c.intersections_computed += ic
         # the role swap ran twice, so (ax, ay) is endpoint A again
         return Segment(Point(ax, ay), Point(bx, by))
     return s  # nothing moved

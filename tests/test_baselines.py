@@ -1,42 +1,15 @@
 import pytest
 from hypothesis import given, assume, settings
 
-from segclip import (ClipperId, Counters, GeneratorSpec, Point, Segment,
-                     UnknownClipperError, Window, cs_clip, exact_clip,
-                     gen_segments, get_clipper, lb_clip, outcode,
-                     register_clipper, registered_clippers,
-                     unregister_clipper)
-from segclip.baselines import BOTTOM, INSIDE, LEFT, RIGHT, TOP
+from segclip import (CLIPPERS, Counters, GeneratorSpec, Point, Segment,
+                     UnknownClipperError, cs_clip, exact_clip, gen_segments,
+                     get_clipper, lb_clip)
 from segclip.quadclip import clip_segment
 
-from _strategies import (WINDOW, grid_points, grid_segments, grid_windows,
+from _strategies import (WINDOW, grid_segments, grid_windows,
                          oblique_corner_collinear)
 
 W = WINDOW
-
-
-# --- outcodes ---------------------------------------------------------------
-
-
-def test_outcode_interior():
-    assert outcode(Point(5.0, 5.0), W) == INSIDE
-
-
-def test_outcode_left_top():
-    assert outcode(Point(-1.0, 12.0), W) == LEFT | TOP
-
-
-def test_outcode_boundary_is_inside():
-    assert outcode(Point(0.0, 10.0), W) == INSIDE
-
-
-@given(grid_points(), grid_windows())
-def test_outcode_bits_mutually_exclusive(p, w):
-    code = outcode(p, w)
-    assert not (code & LEFT and code & RIGHT)
-    assert not (code & BOTTOM and code & TOP)
-    assert (code == INSIDE) == (w.x_left <= p.x <= w.x_right
-                                and w.y_bottom <= p.y <= w.y_top)
 
 
 # --- Cohen-Sutherland -------------------------------------------------------
@@ -147,32 +120,30 @@ def test_false_intersection_bounds_on_corpus():
     assert cs_false_seen and lb_false_seen
 
 
-# --- registry ---------------------------------------------------------------
+@pytest.mark.parametrize("cid, accepted, counts", [
+    # (divisions, intersections_computed, predicate_evals)
+    ("quadclip", 10533, (16524, 16524, 45801)),
+    ("cs", 10533, (22023, 22023, 62023)),
+    ("lb", 10533, (66427, 16524, 66427)),
+])
+def test_exact_counts_on_corpus(cid, accepted, counts):
+    segs = gen_segments(GeneratorSpec(seed=1, count=20_000))
+    clip = get_clipper(cid)
+    c = Counters()
+    assert sum(clip(s, W, c) is not None for s in segs) == accepted
+    assert (c.divisions, c.intersections_computed, c.predicate_evals) == counts
+
+
+# --- clipper table ------------------------------------------------------------
 
 
 def test_registry_ids_and_order():
-    assert registered_clippers()[:3] == ("quadclip", "cs", "lb")
-    assert get_clipper(ClipperId.QUADCLIP) is clip_segment
+    assert tuple(CLIPPERS) == ("quadclip", "cs", "lb")
+    assert get_clipper("quadclip") is clip_segment
     assert get_clipper("cs") is cs_clip
-    assert get_clipper(ClipperId.LIANG_BARSKY) is lb_clip
+    assert get_clipper("lb") is lb_clip
 
 
 def test_registry_unknown_clipper():
     with pytest.raises(UnknownClipperError):
         get_clipper("nln")
-
-
-def test_registry_register_round_trip():
-    def fake(s, w, c):
-        return None
-
-    register_clipper("fake", fake)
-    try:
-        assert get_clipper("fake") is fake
-        assert "fake" in registered_clippers()
-        with pytest.raises(ValueError):
-            register_clipper("fake", fake)
-    finally:
-        unregister_clipper("fake")
-    with pytest.raises(UnknownClipperError):
-        get_clipper("fake")

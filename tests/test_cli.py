@@ -4,8 +4,8 @@ import re
 import pytest
 
 from segclip import (GeneratorSpec, Segment, Point, Window, exact_clip,
-                     gen_segments, register_clipper, unregister_clipper,
-                     write_segments)
+                     gen_segments, write_segments)
+import segclip.baselines as baselines
 import segclip.cli as cli
 from segclip.cli import main
 from segclip.oracle import DEFAULT_WINDOW
@@ -235,6 +235,15 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "quadclip" in out and "reference" in out
 
 
+def test_bench_unwritable_output(tmp_path, capsys):
+    dst = tmp_path / "missing-dir" / "b.csv"
+    assert run_cli("bench", "-o", str(dst), "--sizes", "10",
+                   "--iterations", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"segclip: cannot write {dst}: ")
+    assert captured.out == ""
+
+
 def test_bench_rejects_bad_sizes(tmp_path, capsys):
     code = run_cli("bench", "-o", str(tmp_path / "x.csv"), "--sizes", "100,10",
                    "--iterations", "1")
@@ -264,21 +273,38 @@ def test_verify_unknown_algo(capsys):
     assert run_cli("verify", "--algo", "bogus", "--count", "10") == 1
 
 
-def test_verify_mismatch_exits_2_and_writes_failures(tmp_path, capsys):
-    def always_reject(s, w, c):
-        return None
+def _always_reject(s, w, c):
+    return None
 
-    register_clipper("_always_reject", always_reject)
-    try:
-        failures = tmp_path / "bad.txt"
-        code = run_cli("verify", "--algo", "_always_reject", "--seed", "3",
-                       "--count", "200", "--failures", str(failures))
-        assert code == 2
-        assert "MISMATCH" in capsys.readouterr().out
-        assert failures.exists()
-        assert len(failures.read_text().splitlines()) > 0
-    finally:
-        unregister_clipper("_always_reject")
+
+def test_verify_mismatch_exits_2_and_writes_failures(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setitem(baselines.CLIPPERS, "_always_reject", _always_reject)
+    failures = tmp_path / "bad.txt"
+    code = run_cli("verify", "--algo", "_always_reject", "--seed", "3",
+                   "--count", "200", "--failures", str(failures))
+    assert code == 2
+    assert "MISMATCH" in capsys.readouterr().out
+    assert failures.exists()
+    assert len(failures.read_text().splitlines()) > 0
+
+
+def test_verify_unwritable_report(tmp_path, capsys):
+    report = tmp_path / "missing-dir" / "r.txt"
+    assert run_cli("verify", "--count", "10", "--report", str(report)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"segclip: cannot write {report}: ")
+    assert "verify quadclip: OK" in captured.out
+
+
+def test_verify_unwritable_failures(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(baselines.CLIPPERS, "_always_reject", _always_reject)
+    failures = tmp_path / "missing-dir" / "f.txt"
+    assert run_cli("verify", "--algo", "_always_reject", "--count", "200",
+                   "--failures", str(failures)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"segclip: cannot write {failures}: ")
+    assert "MISMATCH" in captured.out
 
 
 # --- argument handling ----------------------------------------------------------

@@ -6,8 +6,8 @@ import hypothesis.strategies as st
 
 from segclip import (Counters, EquivalenceReport, GeneratorSpec, Point,
                      Segment, UnknownClipperError, Window, check_equivalence,
-                     default_region, exact_clip, gen_segments,
-                     register_clipper, unregister_clipper)
+                     default_region, exact_clip, gen_segments)
+import segclip.baselines as baselines
 from segclip.quadclip import clip_endpoint
 
 from _reference import frac_clip
@@ -166,7 +166,7 @@ def test_check_equivalence_unknown_clipper():
         check_equivalence("nln", GeneratorSpec(seed=7, count=10), W)
 
 
-def test_check_equivalence_flags_broken_clipper():
+def test_check_equivalence_flags_broken_clipper(monkeypatch):
     def off_by_a_bit(s, w, c):
         r = exact_clip(s, w)
         if r is None:
@@ -177,31 +177,24 @@ def test_check_equivalence_flags_broken_clipper():
     def always_reject(s, w, c):
         return None
 
-    register_clipper("_off", off_by_a_bit)
-    register_clipper("_rej", always_reject)
-    try:
-        rep = check_equivalence("_off", GeneratorSpec(seed=5, count=500), W)
-        assert rep.coordinate_mismatches > 0
-        assert not rep.ok
-        assert rep.failures
-        assert "MISMATCH" in rep.summary()
-        rep2 = check_equivalence("_rej", GeneratorSpec(seed=5, count=500), W)
-        assert rep2.decision_mismatches > 0
-    finally:
-        unregister_clipper("_off")
-        unregister_clipper("_rej")
+    monkeypatch.setitem(baselines.CLIPPERS, "_off", off_by_a_bit)
+    monkeypatch.setitem(baselines.CLIPPERS, "_rej", always_reject)
+    rep = check_equivalence("_off", GeneratorSpec(seed=5, count=500), W)
+    assert rep.coordinate_mismatches > 0
+    assert not rep.ok
+    assert rep.failures
+    assert "MISMATCH" in rep.summary()
+    rep2 = check_equivalence("_rej", GeneratorSpec(seed=5, count=500), W)
+    assert rep2.decision_mismatches > 0
 
 
-def test_check_equivalence_swapped_endpoints_ok():
+def test_check_equivalence_swapped_endpoints_ok(monkeypatch):
     # output order must not matter: compare as point sets
     def reversed_quad(s, w, c):
         from segclip.quadclip import clip_segment
         r = clip_segment(s, w, c)
         return None if r is None else Segment(r.b, r.a)
 
-    register_clipper("_swap", reversed_quad)
-    try:
-        rep = check_equivalence("_swap", GeneratorSpec(seed=5, count=2_000), W)
-        assert rep.ok
-    finally:
-        unregister_clipper("_swap")
+    monkeypatch.setitem(baselines.CLIPPERS, "_swap", reversed_quad)
+    rep = check_equivalence("_swap", GeneratorSpec(seed=5, count=2_000), W)
+    assert rep.ok

@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 from segclip import (Counters, Point, Segment, Window, exact_clip,
                      window_contains)
 from segclip.quadclip import (EndpointOutcome, clip_endpoint, clip_segment,
-                              intersect_horizontal, intersect_vertical,
                               quad_orientation)
 
 from _reference import frac_clip, frac_orientation
@@ -43,31 +42,6 @@ def test_orientation_exact_on_grid(s, w):
     # must equal the rational one at every corner
     for corner in w.corners():
         assert quad_orientation(s.a, s.b, corner) == frac_orientation(s.a, s.b, corner)
-
-
-# --- intersection helpers -------------------------------------------------
-
-
-def test_intersect_vertical_examples():
-    c = Counters()
-    assert intersect_vertical(Point(-5.0, 5.0), Point(5.0, 5.0), 0.0, c) == Point(0.0, 5.0)
-    assert intersect_vertical(Point(-5.0, -5.0), Point(15.0, 15.0), 0.0, c) == Point(0.0, 0.0)
-    assert intersect_vertical(Point(-5.0, -5.0), Point(15.0, 15.0), 10.0, c) == Point(10.0, 10.0)
-    assert c.divisions == 3 and c.intersections_computed == 3
-
-
-def test_intersect_horizontal_examples():
-    c = Counters()
-    assert intersect_horizontal(Point(2.0, -5.0), Point(8.0, 5.0), 0.0, c) == Point(5.0, 0.0)
-    assert intersect_horizontal(Point(3.0, -5.0), Point(3.0, 5.0), 0.0, c) == Point(3.0, 0.0)
-    assert intersect_horizontal(Point(0.0, 0.0), Point(10.0, 10.0), 10.0, c) == Point(10.0, 10.0)
-    assert c.divisions == 3 and c.intersections_computed == 3
-
-
-def test_intersect_increments_one_each():
-    c = Counters()
-    intersect_vertical(Point(-1.0, 0.0), Point(1.0, 1.0), 0.0, c)
-    assert (c.divisions, c.intersections_computed) == (1, 1)
 
 
 # --- endpoint procedure ---------------------------------------------------
