@@ -53,6 +53,16 @@ class BenchConfig:
     window: Window = DEFAULT_WINDOW
     region: Window = default_region()
 
+    def __post_init__(self):
+        """Raise ValueError unless sizes are positive and ascending and
+        iterations >= 1, so that a bad config fails before any pass runs."""
+        if not self.sizes or any(s <= 0 for s in self.sizes):
+            raise ValueError(f"sizes must be positive: {self.sizes}")
+        if list(self.sizes) != sorted(self.sizes):
+            raise ValueError(f"sizes must be ascending: {self.sizes}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1: {self.iterations}")
+
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -118,13 +128,6 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
     Row order: size ascending, then `CLIPPERS` order; the quadclip row's ratio
     is 1.0 by construction.
     """
-    if not config.sizes or any(s <= 0 for s in config.sizes):
-        raise ValueError(f"sizes must be positive: {config.sizes}")
-    if list(config.sizes) != sorted(config.sizes):
-        raise ValueError(f"sizes must be ascending: {config.sizes}")
-    if config.iterations < 1:
-        raise ValueError(f"iterations must be >= 1: {config.iterations}")
-
     clippers = tuple(CLIPPERS)
     rows: list[BenchRow] = []
     for size in config.sizes:

@@ -184,18 +184,21 @@ def cmd_bench(args) -> int:
     if args.paper_scale:
         sizes = sizes or PAPER_SCALE_SIZES
         iterations = 100
-    config = BenchConfig(
-        sizes=sizes or DEFAULT_SIZES,
-        iterations=iterations,
-        seed=args.seed,
-        window=args.window,
-        region=args.region or default_region(args.window),
-    )
     try:
-        rows = run_suite(config)
+        config = BenchConfig(
+            sizes=sizes or DEFAULT_SIZES,
+            iterations=iterations,
+            seed=args.seed,
+            window=args.window,
+            region=args.region or default_region(args.window),
+        )
     except ValueError as exc:
         print(f"segclip: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    # create the output now: an unwritable path fails before the suite runs
+    if not _write(args.output, lambda: _write_text(args.output, "")):
+        return USAGE_ERROR
+    rows = run_suite(config)
     if not _write(args.output, lambda: write_csv(rows, args.output)):
         return USAGE_ERROR
     print(format_table(rows))

@@ -1,8 +1,9 @@
 """Ground-truth clipping in exact rational arithmetic plus differential checks.
 
 `exact_clip` intersects the parametric segment with the window's four closed
-half-planes using integer arithmetic on a common power-of-two scale (every
-finite double is a rational, so the conversion is lossless) and reports the
+half-planes using integer arithmetic over the lcm of all coordinate
+denominators (every finite double is a rational with a power-of-two
+denominator, so the conversion is lossless) and reports the
 clipped endpoints as `fractions.Fraction` values.  No rounding happens
 anywhere, which makes it a trustworthy referee for the floating-point
 clippers: `check_equivalence` replays a seeded corpus through a clipper
@@ -47,15 +48,31 @@ class GeneratorSpec:
 
 def gen_segments(spec: GeneratorSpec) -> list[Segment]:
     """Segments with endpoints drawn uniformly and independently from the
-    spec's region; a pure function of the spec."""
-    rng = random.Random(spec.seed)
-    uniform = rng.uniform
+    spec's region; a pure function of the spec.
+
+    Each coordinate is `lo + (hi - lo) * random()`, drawn in the order x1,
+    y1, x2, y2: the formula and call order of `random.Random.uniform`, so a
+    spec gives the same corpus as drawing with `uniform`, bit for bit.
+    """
+    rand = random.Random(spec.seed).random
     xl, xr, yb, yt = spec.region
+    width, height = xr - xl, yt - yb
+    new = tuple.__new__
     return [
-        Segment(Point(uniform(xl, xr), uniform(yb, yt)),
-                Point(uniform(xl, xr), uniform(yb, yt)))
+        new(Segment, (new(Point, (xl + width * rand(), yb + height * rand())),
+                      new(Point, (xl + width * rand(), yb + height * rand()))))
         for _ in range(spec.count)
     ]
+
+
+@lru_cache(maxsize=8)
+def _window_ratios(w: Window) -> tuple[int, int, int, int, int]:
+    """(wd, XL, XR, YB, YT): the window's bounds as integers over wd, the lcm
+    of their denominators.  Numerically equal windows have equal ratios, so
+    they may share a cache entry."""
+    ratios = [v.as_integer_ratio() for v in w]
+    d = math.lcm(*(q for _, q in ratios))
+    return (d, *(n * (d // q) for n, q in ratios))
 
 
 def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
@@ -64,22 +81,29 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
     Accepts float, int or Fraction coordinates.  Returns None when the
     parametric interval is empty, otherwise a Segment of Fraction
     coordinates; a single-point overlap yields a degenerate a == b result.
+    A segment with both endpoints strictly beyond the same boundary is
+    rejected by comparing coordinates, which Python does exactly across
+    float, int and Fraction (so such a segment is rejected even with an
+    infinite coordinate); every other segment is converted to integers,
+    and a non-finite coordinate there raises.
     """
     (x1, y1), (x2, y2) = s
-    ratios = (x1.as_integer_ratio(), y1.as_integer_ratio(),
-              x2.as_integer_ratio(), y2.as_integer_ratio(),
-              w[0].as_integer_ratio(), w[1].as_integer_ratio(),
-              w[2].as_integer_ratio(), w[3].as_integer_ratio())
-    scale = 1
-    for _, d in ratios:
-        if d > scale:
-            scale = d
-    if any(scale % d for _, d in ratios):  # non-dyadic denominators
-        scale = math.lcm(*(d for _, d in ratios))
-    X1, Y1, X2, Y2, XL, XR, YB, YT = (n * (scale // d) for n, d in ratios)
-
-    dx = X2 - X1
-    dy = Y2 - Y1
+    xl, xr, yb, yt = w
+    if ((x1 < xl and x2 < xl) or (x1 > xr and x2 > xr)
+            or (y1 < yb and y2 < yb) or (y1 > yt and y2 > yt)):
+        return None
+    wd, XL, XR, YB, YT = _window_ratios(w)
+    n1, d1 = x1.as_integer_ratio()
+    n2, d2 = y1.as_integer_ratio()
+    n3, d3 = x2.as_integer_ratio()
+    n4, d4 = y2.as_integer_ratio()
+    scale = math.lcm(wd, d1, d2, d3, d4)
+    k = scale // wd
+    XL, XR, YB, YT = XL * k, XR * k, YB * k, YT * k
+    X1 = n1 * (scale // d1)
+    Y1 = n2 * (scale // d2)
+    dx = n3 * (scale // d3) - X1
+    dy = n4 * (scale // d4) - Y1
     # Clipped parameter range [lo, hi] as integer fractions, denominators > 0.
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 1
@@ -133,16 +157,27 @@ class EquivalenceReport:
 @lru_cache(maxsize=2)
 def _corpus_with_oracle(spec: GeneratorSpec, w: Window):
     """Corpus plus per-segment exact results, cached so that checking several
-    clippers against the same corpus prices the oracle only once."""
+    clippers against the same corpus prices the oracle only once.  An
+    accepted result is kept as its four coordinates (ax, ay, bx, by), each
+    the float nearest the exact value, as `float(Fraction)` gives it."""
     segments = gen_segments(spec)
-    return segments, [exact_clip(s, w) for s in segments]
+    exacts = []
+    append = exacts.append
+    for s in segments:
+        r = exact_clip(s, w)
+        if r is not None:
+            (ax, ay), (bx, by) = r
+            r = (ax.numerator / ax.denominator, ay.numerator / ay.denominator,
+                 bx.numerator / bx.denominator, by.numerator / by.denominator)
+        append(r)
+    return segments, exacts
 
 
-def _point_set_error(out: Segment, exact: Segment) -> float:
-    """Largest coordinate deviation, endpoint order ignored."""
+def _point_set_error(out: Segment, exact: tuple[float, ...]) -> float:
+    """Largest coordinate deviation of `out` from the exact endpoints
+    (ax, ay, bx, by), endpoint order ignored."""
     (oax, oay), (obx, oby) = out
-    eax, eay = float(exact.a.x), float(exact.a.y)
-    ebx, eby = float(exact.b.x), float(exact.b.y)
+    eax, eay, ebx, eby = exact
     direct = max(abs(oax - eax), abs(oay - eay), abs(obx - ebx), abs(oby - eby))
     if direct == 0.0:
         return 0.0

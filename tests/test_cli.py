@@ -3,10 +3,11 @@ import re
 
 import pytest
 
-from segclip import (GeneratorSpec, Segment, Point, Window, exact_clip,
-                     gen_segments, write_segments)
+from segclip import (BenchRow, GeneratorSpec, Segment, Point, Window,
+                     exact_clip, gen_segments, write_segments)
 import segclip.baselines as baselines
 import segclip.cli as cli
+from segclip.bench import rows_to_csv
 from segclip.cli import main
 from segclip.oracle import DEFAULT_WINDOW
 
@@ -235,19 +236,37 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "quadclip" in out and "reference" in out
 
 
-def test_bench_unwritable_output(tmp_path, capsys):
+def test_bench_unwritable_output(tmp_path, capsys, monkeypatch):
+    # the path is checked before the suite, which therefore never runs
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", calls.append)
     dst = tmp_path / "missing-dir" / "b.csv"
     assert run_cli("bench", "-o", str(dst), "--sizes", "10",
                    "--iterations", "1") == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"segclip: cannot write {dst}: ")
     assert captured.out == ""
+    assert calls == []
+
+
+def test_bench_csv_bytes(tmp_path, monkeypatch):
+    rows = [BenchRow(10, "quadclip", 0.5, 1.0, 12.25),
+            BenchRow(10, "cs", 0.75, 1.5, 12.25)]
+    monkeypatch.setattr(cli, "run_suite", lambda config: rows)
+    dst = tmp_path / "b.csv"
+    dst.write_text("stale contents\n")
+    assert run_cli("bench", "-o", str(dst), "--sizes", "10") == 0
+    assert dst.read_bytes() == rows_to_csv(rows).encode("utf-8")
 
 
 def test_bench_rejects_bad_sizes(tmp_path, capsys):
-    code = run_cli("bench", "-o", str(tmp_path / "x.csv"), "--sizes", "100,10",
-                   "--iterations", "1")
-    assert code == 1
+    # a config that fails validation leaves no output file behind
+    dst = tmp_path / "x.csv"
+    for argv in (("--sizes", "100,10"), ("--sizes", "0,10"),
+                 ("--sizes", "10", "--iterations", "0")):
+        assert run_cli("bench", "-o", str(dst), *argv) == 1
+        assert capsys.readouterr().err.startswith("segclip: ")
+        assert not dst.exists()
 
 
 # --- verify -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,29 @@ finite_coords = st.floats(min_value=-1e9, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
 finite_points = st.builds(Point, finite_coords, finite_coords)
 finite_segments = st.builds(Segment, finite_points, finite_points)
+
+# exact_clip accepts int, Fraction and float alike, in any mix; non-dyadic
+# Fraction bounds make the common denominator more than a power of two
+mixed_coords = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+    st.floats(min_value=-40, max_value=40,
+              allow_nan=False, allow_infinity=False))
+mixed_points = st.builds(Point, mixed_coords, mixed_coords)
+mixed_segments = st.builds(Segment, mixed_points, mixed_points)
+
+
+@st.composite
+def mixed_windows(draw):
+    xs = sorted(draw(st.lists(mixed_coords, min_size=2, max_size=2, unique=True)))
+    ys = sorted(draw(st.lists(mixed_coords, min_size=2, max_size=2, unique=True)))
+    return Window(xs[0], xs[1], ys[0], ys[1])
+
+
+windows_any_type = st.one_of(
+    st.sampled_from([W, Window(Fraction(1, 3), 7, 0, Fraction(22, 7)),
+                     Window(-5, Fraction(5, 7), 0.25, 3)]),
+    mixed_windows())
 
 
 # --- exact_clip -------------------------------------------------------------
@@ -63,6 +87,19 @@ def test_exact_matches_independent_reference(s):
         assert (got.a, got.b) == want
 
 
+@given(mixed_segments, windows_any_type)
+@settings(max_examples=500)
+def test_exact_matches_reference_on_mixed_types(s, w):
+    got = exact_clip(s, w)
+    want = frac_clip(s, w)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.a, got.b) == want
+        assert all(type(v) is Fraction for p in got for v in p)
+
+
 @given(finite_segments)
 def test_exact_idempotent_and_symmetric(s):
     first = exact_clip(s, W)
@@ -101,6 +138,30 @@ def test_gen_deterministic():
     spec = GeneratorSpec(seed=42, count=10)
     assert gen_segments(spec) == gen_segments(spec)
     assert gen_segments(GeneratorSpec(seed=43, count=10)) != gen_segments(spec)
+
+
+def _uniform_recipe(spec):
+    """Endpoints drawn with `Random.uniform`, x1, y1, x2, y2 in turn."""
+    uniform = random.Random(spec.seed).uniform
+    xl, xr, yb, yt = spec.region
+    return [Segment(Point(uniform(xl, xr), uniform(yb, yt)),
+                    Point(uniform(xl, xr), uniform(yb, yt)))
+            for _ in range(spec.count)]
+
+
+@pytest.mark.parametrize("region", [
+    default_region(),
+    Window(-1e160, 1e160, -1e160, 1e160),
+    Window(1e8 - 10.0, 1e8 + 20.0, 1e8 - 10.0, 1e8 + 20.0),
+])
+def test_gen_matches_uniform_recipe_bit_for_bit(region):
+    spec = GeneratorSpec(seed=13, count=5_000, region=region)
+    got = gen_segments(spec)
+    want = _uniform_recipe(spec)
+    assert ([[v.hex() for p in s for v in p] for s in got]
+            == [[v.hex() for p in s for v in p] for s in want])
+    assert all(type(s) is Segment and type(s.a) is Point and type(s.b) is Point
+               for s in got)
 
 
 def test_gen_respects_region():
@@ -198,3 +259,50 @@ def test_check_equivalence_swapped_endpoints_ok(monkeypatch):
     monkeypatch.setitem(baselines.CLIPPERS, "_swap", reversed_quad)
     rep = check_equivalence("_swap", GeneratorSpec(seed=5, count=2_000), W)
     assert rep.ok
+
+
+def _set_error(out, want):
+    """Largest coordinate deviation from the exact endpoints rounded to
+    floats, under the better of the two endpoint pairings."""
+    (oax, oay), (obx, oby) = out
+    (eax, eay), (ebx, eby) = ((float(x), float(y)) for x, y in want)
+    direct = max(abs(oax - eax), abs(oay - eay), abs(obx - ebx), abs(oby - eby))
+    swapped = max(abs(oax - ebx), abs(oay - eby), abs(obx - eax), abs(oby - eay))
+    return min(direct, swapped)
+
+
+# Windows on which the float clippers disagree with the oracle (overflow,
+# underflow, offset): the reports must follow the rules exactly where they
+# count mismatches, whatever the counts are.
+@pytest.mark.parametrize("w", [
+    Window(0.0, 1e160, 0.0, 1e160),
+    Window(0.0, 1e-300, 0.0, 1e-300),
+    Window(1e8, 1e8 + 10.0, 1e8, 1e8 + 10.0),
+])
+def test_check_equivalence_reports_rederived(w):
+    spec = GeneratorSpec(seed=21, count=2_000, region=default_region(w))
+    segments = gen_segments(spec)
+    exacts = [frac_clip(s, w) for s in segments]
+    abs_tol = 1e-9 * max(1.0, w.extent())
+    for clipper, clip in baselines.CLIPPERS.items():
+        decisions = coordinates = 0
+        worst = 0.0
+        failures = []
+        for s, want in zip(segments, exacts):
+            out = clip(s, w, Counters())
+            if (out is None) != (want is None):
+                decisions += 1
+                failures.append(s)
+                continue
+            if out is None:
+                continue
+            err = _set_error(out, want)
+            worst = max(worst, err)
+            if err > abs_tol:
+                coordinates += 1
+                failures.append(s)
+        rep = check_equivalence(clipper, spec, w, 1e-9)
+        assert rep.cases_run == len(segments)
+        assert ((rep.decision_mismatches, rep.coordinate_mismatches,
+                 rep.max_coordinate_error, rep.failures)
+                == (decisions, coordinates, worst, failures)), clipper
