@@ -8,7 +8,7 @@ clipped output green, window black).
 
 import pathlib
 
-from segclip import Counters, GeneratorSpec, gen_segments
+from segclip import Counters, GeneratorSpec, clip_many, gen_segments
 from segclip.oracle import DEFAULT_WINDOW
 from segclip.quadclip import clip_segment
 from segclip.svg import render_svg
@@ -17,8 +17,9 @@ from segclip.svg import render_svg
 def render_corpus(count: int, seed: int, out_dir: pathlib.Path) -> pathlib.Path:
     segments = gen_segments(GeneratorSpec(seed=seed, count=count))
     counters = Counters()
-    clipped = [r for s in segments
-               if (r := clip_segment(s, DEFAULT_WINDOW, counters)) is not None]
+    clipped = [r for r in clip_many(clip_segment, segments, DEFAULT_WINDOW,
+                                    counters)
+               if r is not None]
     path = out_dir / f"clip_{count}.svg"
     path.write_text(render_svg(segments, clipped, DEFAULT_WINDOW))
     print(f"{path}: {len(segments)} segments in, {len(clipped)} clipped, "

@@ -7,8 +7,8 @@ Liang-Barsky implementations, an exact-rational differential oracle, a
 timing harness and a CLI round out the package.
 """
 
-from .baselines import (CLIPPERS, UnknownClipperError, cs_clip, get_clipper,
-                        lb_clip)
+from .baselines import (CLIPPERS, UnknownClipperError, clip_many, cs_clip,
+                        get_clipper, lb_clip)
 from .bench import (BenchConfig, BenchRow, checksum_segments, pass_seed,
                     relative_execution, run_suite, time_algorithm, write_csv)
 from .geom import (ClipResult, Counters, DegenerateWindowError, NonFiniteError,
@@ -27,9 +27,10 @@ __all__ = [
     "DegenerateWindowError", "EndpointOutcome", "EquivalenceReport",
     "GeneratorSpec", "NonFiniteError", "Point", "Segment",
     "SegmentFormatError", "UnknownClipperError", "Window",
-    "check_equivalence", "checksum_segments", "clip_endpoint", "clip_segment",
-    "cs_clip", "default_region", "exact_clip", "gen_segments", "get_clipper",
-    "lb_clip", "parse_segments", "pass_seed", "quad_orientation",
-    "read_segments", "relative_execution", "run_suite", "time_algorithm",
-    "validate_window", "window_contains", "write_csv", "write_segments",
+    "check_equivalence", "checksum_segments", "clip_endpoint", "clip_many",
+    "clip_segment", "cs_clip", "default_region", "exact_clip",
+    "gen_segments", "get_clipper", "lb_clip", "parse_segments",
+    "pass_seed", "quad_orientation", "read_segments", "relative_execution",
+    "run_suite", "time_algorithm", "validate_window", "window_contains",
+    "write_csv", "write_segments",
 ]

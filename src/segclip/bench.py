@@ -19,8 +19,8 @@ import io
 import time
 from dataclasses import dataclass
 
-from .baselines import CLIPPERS, get_clipper
-from .geom import Counters, Segment, Window
+from .baselines import CLIPPERS, clip_many, get_clipper
+from .geom import Counters, Segment, Window, gc_paused
 from .oracle import DEFAULT_WINDOW, GeneratorSpec, default_region, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -101,22 +101,13 @@ def time_algorithm(clipper, segments: list[Segment], w: Window) -> tuple[float, 
     """
     clip = get_clipper(clipper)
     counters = Counters()
-    accepted: list[Segment] = []
-    append = accepted.append
     # cycle collection pauses would land on whichever clipper happens to be
     # running; keep them out of the timed region
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         start = time.perf_counter()
-        for s in segments:
-            r = clip(s, w, counters)
-            if r is not None:
-                append(r)
+        accepted = [r for r in clip_many(clip, segments, w, counters)
+                    if r is not None]
         elapsed_ms = (time.perf_counter() - start) * 1e3
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return elapsed_ms, checksum_segments(accepted)
 
 
@@ -124,9 +115,10 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
     """Full comparison: per size, one discarded warmup pass plus
     `config.iterations` measured passes over fresh corpora.
 
-    Raises RuntimeError if the clippers ever disagree on a pass checksum.
-    Row order: size ascending, then `CLIPPERS` order; the quadclip row's ratio
-    is 1.0 by construction.
+    The clippers run in `CLIPPERS` order rotated by the pass index, so each
+    one takes the first slot in turn.  Raises RuntimeError if the clippers
+    ever disagree on a pass checksum.  Row order: size ascending, then
+    `CLIPPERS` order; the quadclip row's ratio is 1.0 by construction.
     """
     clippers = tuple(CLIPPERS)
     rows: list[BenchRow] = []
@@ -141,7 +133,8 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
             for (_, _), (_, _) in corpus:  # touch the fresh corpus so the
                 pass                       # first clipper to run is not
             pass_checksums = {}            # billed for cold caches
-            for cid in clippers:
+            k = pass_index % len(clippers)
+            for cid in clippers[k:] + clippers[:k]:
                 ms, ck = time_algorithm(cid, corpus, config.window)
                 pass_checksums[cid] = ck
                 if pass_index > 0:  # pass 0 is warmup

@@ -8,14 +8,13 @@ success, 1 on usage or input errors, 2 when verification finds a mismatch.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 
-from .baselines import CLIPPERS, UnknownClipperError, get_clipper
+from .baselines import CLIPPERS, UnknownClipperError, clip_many, get_clipper
 from .bench import (BenchConfig, DEFAULT_SIZES, PAPER_SCALE_SIZES, format_table,
                     run_suite, write_csv)
-from .geom import (Counters, SegmentFormatError, Window, read_segments,
-                   validate_window, write_segments)
+from .geom import (Counters, SegmentFormatError, Window, gc_paused,
+                   read_segments, validate_window, write_segments)
 from .oracle import (DEFAULT_WINDOW, GeneratorSpec, check_equivalence,
                      default_region)
 from .svg import render_svg
@@ -48,6 +47,17 @@ def _sizes_arg(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
     return sizes
+
+
+def _count_arg(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}") from None
+    if count < 1:
+        # a check that ran no cases must not report success
+        raise argparse.ArgumentTypeError(f"must be at least 1: {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify",
                               help="differential check against the exact oracle")
     p_verify.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
-    p_verify.add_argument("--count", type=int, default=100_000,
+    p_verify.add_argument("--count", type=_count_arg, default=100_000,
                           help="number of random segments (default 100000)")
     p_verify.add_argument("--tolerance", type=float, default=1e-9,
                           help="coordinate tolerance (default 1e-9)")
@@ -131,9 +141,7 @@ def _clip_file(args, write):
     clipped).  Returns the (read, clipped) counts, or None after reporting
     an error on stderr.  Cyclic GC stays paused throughout, as the run makes
     only acyclic tuples of floats, which reference counting frees."""
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         try:
             segments = read_segments(args.input)
         except (OSError, UnicodeDecodeError) as exc:
@@ -147,15 +155,12 @@ def _clip_file(args, write):
         except UnknownClipperError:
             print(f"segclip: unknown algorithm: {args.algo}", file=sys.stderr)
             return None
-        counters = Counters()
-        clipped = [r for s in segments
-                   if (r := clip(s, args.window, counters)) is not None]
+        clipped = [r for r in clip_many(clip, segments, args.window,
+                                        Counters())
+                   if r is not None]
         if not _write(args.output, lambda: write(segments, clipped)):
             return None
         return len(segments), len(clipped)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def cmd_clip(args) -> int:
@@ -213,6 +218,9 @@ def cmd_verify(args) -> int:
         report = check_equivalence(args.algo, spec, args.window, args.tolerance)
     except UnknownClipperError:
         print(f"segclip: unknown algorithm: {args.algo}", file=sys.stderr)
+        return USAGE_ERROR
+    except ValueError as exc:  # a tolerance that is NaN, infinite or < 0
+        print(f"segclip: {exc}", file=sys.stderr)
         return USAGE_ERROR
     summary = report.summary()
     print(summary)

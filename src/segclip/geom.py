@@ -7,6 +7,7 @@ clipping context (one per thread when clipping concurrently).
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
@@ -64,6 +65,26 @@ class Counters:
     divisions: int = 0
     intersections_computed: int = 0
     predicate_evals: int = 0
+
+
+class gc_paused:
+    """Context manager: pause cyclic GC for the block and then restore the
+    caller's setting.
+
+    For code that keeps many acyclic tuples alive at once (corpora, clip
+    results): reference counting frees them, and each collection would only
+    rescan them.  Re-enabling is the last thing `__exit__` does, because an
+    allocation after it, with everything made during the block still
+    alive, would start a collection over all of it.
+    """
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.was_enabled:
+            gc.enable()
 
 
 class DegenerateWindowError(ValueError):

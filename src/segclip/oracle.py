@@ -19,8 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .baselines import get_clipper
-from .geom import Counters, Point, Segment, Window, validate_window
+from .baselines import clip_many, get_clipper
+from .geom import (Counters, Point, Segment, Window, gc_paused,
+                   validate_window)
 
 DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 
@@ -159,17 +160,21 @@ def _corpus_with_oracle(spec: GeneratorSpec, w: Window):
     """Corpus plus per-segment exact results, cached so that checking several
     clippers against the same corpus prices the oracle only once.  An
     accepted result is kept as its four coordinates (ax, ay, bx, by), each
-    the float nearest the exact value, as `float(Fraction)` gives it."""
-    segments = gen_segments(spec)
-    exacts = []
-    append = exacts.append
-    for s in segments:
-        r = exact_clip(s, w)
-        if r is not None:
-            (ax, ay), (bx, by) = r
-            r = (ax.numerator / ax.denominator, ay.numerator / ay.denominator,
-                 bx.numerator / bx.denominator, by.numerator / by.denominator)
-        append(r)
+    the float nearest the exact value, as `float(Fraction)` gives it.
+    Cyclic GC is paused while they are built."""
+    with gc_paused():
+        segments = gen_segments(spec)
+        exacts = []
+        append = exacts.append
+        for s in segments:
+            r = exact_clip(s, w)
+            if r is not None:
+                (ax, ay), (bx, by) = r
+                r = (ax.numerator / ax.denominator,
+                     ay.numerator / ay.denominator,
+                     bx.numerator / bx.denominator,
+                     by.numerator / by.denominator)
+            append(r)
     return segments, exacts
 
 
@@ -191,17 +196,21 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
 
     Coordinates are compared with absolute allowance
     tolerance * max(1, window extent); accept/reject decisions must agree
-    exactly.  Raises UnknownClipperError for an unknown id.
+    exactly.  Raises UnknownClipperError for an unknown id and ValueError
+    unless the tolerance is finite and >= 0.
     """
     clip = get_clipper(clipper)
     validate_window(w)
+    if not 0.0 <= tolerance < math.inf:  # also false for NaN
+        raise ValueError(
+            f"tolerance must be finite and >= 0: {tolerance!r}")
     abs_tol = tolerance * max(1.0, w.extent())
     segments, exacts = _corpus_with_oracle(spec, w)
-    counters = Counters()
-    report = EquivalenceReport(clipper=clipper, tolerance=tolerance)
-    for s, exact in zip(segments, exacts):
-        report.cases_run += 1
-        out = clip(s, w, counters)
+    with gc_paused():
+        outs = clip_many(clip, segments, w, Counters())
+    report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
+                               cases_run=len(segments))
+    for s, out, exact in zip(segments, outs, exacts):
         if (out is None) != (exact is None):
             report.decision_mismatches += 1
             report.failures.append(s)

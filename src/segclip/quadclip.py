@@ -150,112 +150,128 @@ def clip_endpoint(p1: Point, p2: Point, w: Window, counters: Counters) -> Endpoi
     return EndpointOutcome(False, Point(x, y), flag)
 
 
-def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
-    """Clip segment s against window w; None when rejected.
+def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
+    """Clip every segment against window w: one result per input, in order.
 
-    Two endpoint passes: first over (a, b), then -- when the first pass kept
-    the segment alive -- over (b, updated a).  Accepted output preserves
-    endpoint order; unmoved endpoints come through unchanged.
+    A result is None when the segment is rejected, the input segment itself
+    when neither endpoint moved, and otherwise a new Segment with endpoint
+    order preserved.  Each segment takes two endpoint passes: first over
+    (a, b), then -- when the first pass kept the segment alive -- over
+    (b, updated a).
 
-    This is the timed hot path, so the two `clip_endpoint` passes are
-    inlined (the loop swaps the endpoint roles between them), a rejection
-    sets flag 0 and breaks out of the loop, and the counts are added to
-    `counters` once per call; results and counts are identical to the
-    two-call composition, which the test suite pins.
+    This is the hot path, so the two `clip_endpoint` passes are inlined
+    (the inner loop swaps the endpoint roles between them), a rejection
+    sets flag 0 and breaks out of that loop, and the counts stay in locals
+    until they are added to `counters` once per call; results and counts
+    are identical to the two-call composition, which the test suite pins.
     """
-    (ax, ay), (bx, by) = s
     xl, xr, yb, yt = w
+    new = tuple.__new__
     pe = 0
     ic = 0
-    for _ in (0, 1):
-        if ax < xl:
-            if bx < xl:
-                flag = 0
-                break
-            pe += 1
-            u = xl - bx
-            v = ax - xl
-            if u * (ay - yt) < v * (yt - by):
-                flag = 0  # passes above the top-left corner
-            else:
+    out = []
+    append = out.append
+    for s in segments:
+        (ax, ay), (bx, by) = s
+        ic0 = ic
+        for _ in (0, 1):
+            if ax < xl:
+                if bx < xl:
+                    flag = 0
+                    break
                 pe += 1
-                if u * (ay - yb) > v * (yb - by):
-                    flag = 0  # passes below the bottom-left corner
+                u = xl - bx
+                v = ax - xl
+                if u * (ay - yt) < v * (yt - by):
+                    flag = 0  # passes above the top-left corner
                 else:
-                    ic += 1
-                    ay = ay + (by - ay) * (xl - ax) / (bx - ax)
-                    ax = xl
-                    flag = 1
-        elif ax > xr:
-            if bx > xr:
-                flag = 0
-                break
-            pe += 1
-            u = xr - bx
-            v = ax - xr
-            if u * (ay - yt) > v * (yt - by):
-                flag = 0  # passes above the top-right corner
-            else:
+                    pe += 1
+                    if u * (ay - yb) > v * (yb - by):
+                        flag = 0  # passes below the bottom-left corner
+                    else:
+                        ic += 1
+                        ay = ay + (by - ay) * (xl - ax) / (bx - ax)
+                        ax = xl
+                        flag = 1
+            elif ax > xr:
+                if bx > xr:
+                    flag = 0
+                    break
                 pe += 1
-                if u * (ay - yb) < v * (yb - by):
-                    flag = 0  # passes below the bottom-right corner
+                u = xr - bx
+                v = ax - xr
+                if u * (ay - yt) > v * (yt - by):
+                    flag = 0  # passes above the top-right corner
                 else:
-                    ic += 1
-                    ay = ay + (by - ay) * (xr - ax) / (bx - ax)
-                    ax = xr
-                    flag = 1
-        else:
-            flag = 1
+                    pe += 1
+                    if u * (ay - yb) < v * (yb - by):
+                        flag = 0  # passes below the bottom-right corner
+                    else:
+                        ic += 1
+                        ay = ay + (by - ay) * (xr - ax) / (bx - ax)
+                        ax = xr
+                        flag = 1
+            else:
+                flag = 1
 
-        if ay < yb:
-            if by < yb:
-                flag = 0
-                break
-            pe += 1
-            u = ay - yb
-            if (xl - bx) * u < (ax - xl) * (yb - by):
-                flag = 0  # passes left of the bottom-left corner
-            else:
+            if ay < yb:
+                if by < yb:
+                    flag = 0
+                    break
                 pe += 1
-                if (xr - bx) * u > (ax - xr) * (yb - by):
-                    flag = 0  # passes right of the bottom-right corner
+                u = ay - yb
+                if (xl - bx) * u < (ax - xl) * (yb - by):
+                    flag = 0  # passes left of the bottom-left corner
                 else:
-                    ic += 1
-                    ax = ax + (bx - ax) * (yb - ay) / (by - ay)
-                    ay = yb
-                    flag = 1
-        elif ay > yt:
-            if by > yt:
-                flag = 0
-                break
-            pe += 1
-            u = ay - yt
-            if (xl - bx) * u > (ax - xl) * (yt - by):
-                flag = 0  # passes left of the top-left corner
-            else:
+                    pe += 1
+                    if (xr - bx) * u > (ax - xr) * (yb - by):
+                        flag = 0  # passes right of the bottom-right corner
+                    else:
+                        ic += 1
+                        ax = ax + (bx - ax) * (yb - ay) / (by - ay)
+                        ay = yb
+                        flag = 1
+            elif ay > yt:
+                if by > yt:
+                    flag = 0
+                    break
                 pe += 1
-                if (xr - bx) * u < (ax - xr) * (yt - by):
-                    flag = 0  # passes right of the top-right corner
+                u = ay - yt
+                if (xl - bx) * u > (ax - xl) * (yt - by):
+                    flag = 0  # passes left of the top-left corner
                 else:
-                    ic += 1
-                    ax = ax + (bx - ax) * (yt - ay) / (by - ay)
-                    ay = yt
-                    flag = 1
-        else:
-            flag = 1
+                    pe += 1
+                    if (xr - bx) * u < (ax - xr) * (yt - by):
+                        flag = 0  # passes right of the top-right corner
+                    else:
+                        ic += 1
+                        ax = ax + (bx - ax) * (yt - ay) / (by - ay)
+                        ay = yt
+                        flag = 1
+            else:
+                flag = 1
+
+            if flag == 0:
+                break
+            ax, ay, bx, by = bx, by, ax, ay
 
         if flag == 0:
-            break
-        ax, ay, bx, by = bx, by, ax, ay
+            append(None)
+        elif ic == ic0:
+            append(s)  # nothing moved
+        else:
+            # the role swap ran twice, so (ax, ay) is endpoint A again
+            append(new(Segment, (new(Point, (ax, ay)), new(Point, (bx, by)))))
 
     if pe:
         counters.predicate_evals += pe
         if ic:  # every division follows a predicate
             counters.divisions += ic
             counters.intersections_computed += ic
-    if flag == 0:
-        return None
-    if ic:
-        # the role swap ran twice, so (ax, ay) is endpoint A again
-        return Segment(Point(ax, ay), Point(bx, by))
-    return s  # nothing moved
+    return out
+
+
+def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
+    """Clip segment s against window w; None when rejected, s itself when
+    nothing moved.  One call of the batch kernel `clip_segments`."""
+    return clip_segments((s,), w, counters)[0]

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies.
+"""Shared hypothesis strategies, and the batch-kernel check they feed.
 
 Property tests draw coordinates from a 1/8 grid: every corner-orientation
 product is then exact in double precision, so the clippers' control flow
@@ -12,10 +12,18 @@ unit tests cover the exactly-representable corner cases).
 
 import hypothesis.strategies as st
 
-from segclip import Point, Segment, Window
+from segclip import Counters, Point, Segment, Window
 from segclip.quadclip import quad_orientation
 
 WINDOW = Window(0.0, 10.0, 0.0, 10.0)
+# the unit window, and windows where the float clippers overflow, underflow
+# or lose digits to a translated origin
+CORPUS_WINDOWS = [
+    WINDOW,
+    Window(0.0, 1e160, 0.0, 1e160),
+    Window(0.0, 1e-300, 0.0, 1e-300),
+    Window(1e8, 1e8 + 10.0, 1e8, 1e8 + 10.0),
+]
 
 
 def grid_coords(lo: int = -20, hi: int = 30):
@@ -46,6 +54,36 @@ def inside_points(w: Window = WINDOW):
 
 def inside_segments(w: Window = WINDOW):
     return st.builds(Segment, inside_points(w), inside_points(w))
+
+
+def edge_points(w: Window = WINDOW):
+    """Grid points with at least one coordinate on the window's outline."""
+    xl, xr, yb, yt = w
+    return st.one_of(st.builds(Point, st.sampled_from([xl, xr]), grid_coords()),
+                     st.builds(Point, grid_coords(), st.sampled_from([yb, yt])))
+
+
+def corpus_segments(w: Window = WINDOW):
+    """Mixed corpora: crossing, interior, boundary-touching and zero-length
+    segments in one list, so one segment's state could leak into the next."""
+    point = st.one_of(grid_points(), inside_points(w), edge_points(w))
+    segment = st.one_of(st.builds(Segment, point, point),
+                        point.map(lambda p: Segment(p, p)))
+    return st.lists(segment, max_size=40)
+
+
+def assert_batch_equals_one_at_a_time(kernel, segments, w: Window) -> None:
+    """`kernel` over the whole corpus gives the results, the identity of
+    each result with its input, and the counter totals of feeding it one
+    segment at a time."""
+    c_batch, c_single = Counters(), Counters()
+    batch = kernel(segments, w, c_batch)
+    single = [kernel((s,), w, c_single)[0] for s in segments]
+    assert type(batch) is list and len(batch) == len(segments)
+    assert repr(batch) == repr(single)  # NaN-safe; tells -0.0 from 0.0
+    assert ([r is s for r, s in zip(batch, segments)]
+            == [r is s for r, s in zip(single, segments)])
+    assert c_batch == c_single
 
 
 def oblique_corner_collinear(s: Segment, w: Window) -> bool:

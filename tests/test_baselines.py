@@ -2,11 +2,14 @@ import pytest
 from hypothesis import given, assume, settings
 
 from segclip import (CLIPPERS, Counters, GeneratorSpec, Point, Segment,
-                     UnknownClipperError, cs_clip, exact_clip, gen_segments,
-                     get_clipper, lb_clip)
+                     UnknownClipperError, clip_many, cs_clip, default_region,
+                     exact_clip, gen_segments, get_clipper, lb_clip)
+from segclip.baselines import cs_clip_segments, lb_clip_segments
 from segclip.quadclip import clip_segment
 
-from _strategies import (WINDOW, grid_segments, grid_windows,
+from _strategies import (CORPUS_WINDOWS, WINDOW,
+                         assert_batch_equals_one_at_a_time,
+                         corpus_segments, grid_segments, grid_windows,
                          oblique_corner_collinear)
 
 W = WINDOW
@@ -132,6 +135,50 @@ def test_exact_counts_on_corpus(cid, accepted, counts):
     c = Counters()
     assert sum(clip(s, W, c) is not None for s in segs) == accepted
     assert (c.divisions, c.intersections_computed, c.predicate_evals) == counts
+
+
+# --- batch kernels and clip_many ----------------------------------------------
+
+
+BATCH_KERNELS = [cs_clip_segments, lb_clip_segments]
+
+
+@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+@given(segments=corpus_segments(), w=grid_windows())
+def test_batch_kernels_equal_one_at_a_time(kernel, segments, w):
+    assert_batch_equals_one_at_a_time(kernel, segments, w)
+
+
+@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+@pytest.mark.parametrize("w", CORPUS_WINDOWS)
+def test_batch_kernels_equal_one_at_a_time_on_corpus(kernel, w):
+    segments = gen_segments(GeneratorSpec(1, 20_000, default_region(w)))
+    assert_batch_equals_one_at_a_time(kernel, segments, w)
+
+
+@pytest.mark.parametrize("cid", list(CLIPPERS))
+def test_clip_many_equals_per_call_clipper(cid):
+    segments = gen_segments(GeneratorSpec(seed=4, count=2_000))
+    clip = get_clipper(cid)
+    c_many, c_call = Counters(), Counters()
+    assert (clip_many(clip, segments, W, c_many)
+            == [clip(s, W, c_call) for s in segments])
+    assert c_many == c_call
+
+
+def test_clip_many_calls_other_clippers_once_per_segment():
+    segments = gen_segments(GeneratorSpec(seed=4, count=50))
+    counters = Counters()
+    calls = []
+
+    def fake(s, w, c):  # e.g. a tracing wrapper around a real clipper
+        calls.append((s, w, c))
+        return clip_segment(s, w, c)
+
+    out = clip_many(fake, segments, W, counters)
+    assert calls == [(s, W, counters) for s in segments]
+    assert all(c is counters for _, _, c in calls)
+    assert out == clip_many(clip_segment, segments, W, Counters())
 
 
 # --- clipper table ------------------------------------------------------------

@@ -1,10 +1,14 @@
+import gc
+
 import pytest
 
+import segclip.baselines as baselines
 from segclip import (BenchConfig, GeneratorSpec, Point, Segment, Window,
                      checksum_segments, gen_segments, pass_seed,
                      relative_execution, run_suite, time_algorithm, write_csv)
 from segclip.bench import CSV_FIELDS, REFERENCE_RATIOS, format_table, rows_to_csv
 from segclip.oracle import DEFAULT_WINDOW
+from segclip.quadclip import clip_segment
 
 W = DEFAULT_WINDOW
 
@@ -68,6 +72,27 @@ def test_time_algorithm_nonzero_time():
     corpus = gen_segments(GeneratorSpec(seed=22, count=100_000))
     ms, _ = time_algorithm("quadclip", corpus, W)
     assert ms > 0.0
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+def test_time_algorithm_leaves_gc_state_alone(monkeypatch, gc_enabled):
+    seen = set()
+
+    def spy(s, w, c):
+        seen.add(gc.isenabled())
+        return clip_segment(s, w, c)
+
+    monkeypatch.setitem(baselines.CLIPPERS, "_spy", spy)
+    corpus = gen_segments(GeneratorSpec(seed=23, count=200))
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        _, checksum = time_algorithm("_spy", corpus, W)
+        assert gc.isenabled() is gc_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == {False}  # clipped with cyclic GC paused
+    assert checksum == time_algorithm("quadclip", corpus, W)[1]
 
 
 # --- suites -------------------------------------------------------------------

@@ -284,8 +284,21 @@ def test_verify_clean_run(tmp_path, capsys):
 
 
 def test_verify_zero_count(tmp_path, capsys):
-    assert run_cli("verify", "--count", "0") == 0
-    assert "0 cases" in capsys.readouterr().out
+    # a check that runs no cases must not report success
+    for count in ("0", "-3"):
+        assert run_cli("verify", "--count", count) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --count: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tolerance(capsys, tolerance):
+    assert run_cli("verify", "--count", "100", "--tolerance", tolerance) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"segclip: tolerance must be finite and >= 0: "
+                            f"{float(tolerance)!r}\n")
 
 
 def test_verify_unknown_algo(capsys):

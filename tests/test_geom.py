@@ -1,3 +1,4 @@
+import gc
 import math
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from segclip import (DegenerateWindowError, NonFiniteError, Point, Segment,
                      SegmentFormatError, Window, parse_segments,
                      read_segments, validate_window, window_contains,
                      write_segments)
-from segclip.geom import format_coord, segment_line
+from segclip.geom import format_coord, gc_paused, segment_line
 
 
 def test_validate_window_ok():
@@ -172,3 +173,31 @@ def test_write_segments_matches_segment_line(segs):
         write_segments(path, segs)
         written = path.read_bytes()
     assert written == "".join(segment_line(s) + "\n" for s in segs).encode()
+
+
+# --- gc_paused ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+def test_gc_paused_restores_state_and_starts_no_collection(gc_enabled):
+    phases = []
+
+    def on_gc(phase, info):
+        phases.append(phase)
+
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    gc.callbacks.append(on_gc)
+    try:
+        with gc_paused():
+            assert not gc.isenabled()
+            kept = [[] for _ in range(10_000)]  # far past the gen-0 threshold
+        # leaving the block must not allocate once GC is back on: with
+        # `kept` alive, that would start a collection over all of it
+        collections = len(phases)
+        state = gc.isenabled()
+    finally:
+        gc.callbacks.remove(on_gc)
+        (gc.enable if was_enabled else gc.disable)()
+    assert state is gc_enabled
+    assert collections == 0 and len(kept) == 10_000

@@ -1,3 +1,5 @@
+import gc
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ from segclip import (Counters, EquivalenceReport, GeneratorSpec, Point,
                      Segment, UnknownClipperError, Window, check_equivalence,
                      default_region, exact_clip, gen_segments)
 import segclip.baselines as baselines
-from segclip.quadclip import clip_endpoint
+import segclip.oracle as oracle
+from segclip.quadclip import clip_endpoint, clip_segment
 
 from _reference import frac_clip
 from _strategies import WINDOW
@@ -225,6 +228,48 @@ def test_check_equivalence_empty_corpus():
 def test_check_equivalence_unknown_clipper():
     with pytest.raises(UnknownClipperError):
         check_equivalence("nln", GeneratorSpec(seed=7, count=10), W)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), math.inf, -math.inf,
+                                       -1.0, -1e-300])
+def test_check_equivalence_rejects_bad_tolerance(tolerance):
+    # err > nan is never true, so a NaN tolerance would pass every case
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        check_equivalence("quadclip", GeneratorSpec(seed=7, count=10), W,
+                          tolerance)
+
+
+def test_check_equivalence_zero_tolerance_allowed():
+    report = check_equivalence("quadclip", GeneratorSpec(seed=7, count=10), W,
+                               0.0)
+    assert report.tolerance == 0.0 and report.cases_run == 10
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+def test_check_equivalence_leaves_gc_state_alone(monkeypatch, gc_enabled):
+    seen = {"exact_clip": set(), "clip": set()}
+
+    def spy_exact_clip(s, w):
+        seen["exact_clip"].add(gc.isenabled())
+        return exact_clip(s, w)
+
+    def spy_clip(s, w, c):
+        seen["clip"].add(gc.isenabled())
+        return clip_segment(s, w, c)
+
+    monkeypatch.setattr(oracle, "exact_clip", spy_exact_clip)
+    monkeypatch.setitem(baselines.CLIPPERS, "_spy", spy_clip)
+    # a seed no other test uses, so the corpus is built, not cached
+    spec = GeneratorSpec(seed=90_001 + gc_enabled, count=200)
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        assert check_equivalence("_spy", spec, W).ok
+        assert gc.isenabled() is gc_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # the corpus build and the clipping run with cyclic GC paused
+    assert seen == {"exact_clip": {False}, "clip": {False}}
 
 
 def test_check_equivalence_flags_broken_clipper(monkeypatch):

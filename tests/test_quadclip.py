@@ -1,16 +1,19 @@
 import math
 
+import pytest
 from hypothesis import given, assume, settings
 import hypothesis.strategies as st
 
-from segclip import (Counters, Point, Segment, Window, exact_clip,
-                     window_contains)
+from segclip import (Counters, GeneratorSpec, Point, Segment, Window,
+                     default_region, exact_clip, gen_segments, window_contains)
 from segclip.quadclip import (EndpointOutcome, clip_endpoint, clip_segment,
-                              quad_orientation)
+                              clip_segments, quad_orientation)
 
 from _reference import frac_clip, frac_orientation
-from _strategies import (WINDOW, grid_segments, grid_windows, inside_segments,
-                         oblique_corner_collinear)
+from _strategies import (CORPUS_WINDOWS, WINDOW,
+                         assert_batch_equals_one_at_a_time,
+                         corpus_segments, grid_segments, grid_windows,
+                         inside_segments, oblique_corner_collinear)
 
 W = WINDOW
 
@@ -112,6 +115,20 @@ def test_clip_wholly_left_rejected():
 def test_clip_rejected_by_second_call():
     assert clip_segment(Segment(Point(-2.0, 9.0), Point(1.0, 14.0)), W, Counters()) is None
     assert frac_clip(((-2, 9), (1, 14)), (0, 10, 0, 10)) is None
+
+
+# --- the batch kernel ---------------------------------------------------------
+
+
+@given(corpus_segments(), grid_windows())
+def test_batch_kernel_equals_one_at_a_time(segments, w):
+    assert_batch_equals_one_at_a_time(clip_segments, segments, w)
+
+
+@pytest.mark.parametrize("w", CORPUS_WINDOWS)
+def test_batch_kernel_equals_one_at_a_time_on_corpus(w):
+    segments = gen_segments(GeneratorSpec(1, 20_000, default_region(w)))
+    assert_batch_equals_one_at_a_time(clip_segments, segments, w)
 
 
 # --- properties on the exact grid -------------------------------------------
