@@ -9,7 +9,7 @@ clipped output green, window black).
 import pathlib
 
 from segclip import Counters, GeneratorSpec, clip_many, gen_segments
-from segclip.oracle import DEFAULT_WINDOW
+from segclip.geom import DEFAULT_WINDOW
 from segclip.quadclip import clip_segment
 from segclip.svg import render_svg
 

@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass
 
 from .baselines import CLIPPERS, clip_many, get_clipper
-from .geom import Counters, Segment, Window, gc_paused
-from .oracle import DEFAULT_WINDOW, GeneratorSpec, default_region, gen_segments
+from .geom import DEFAULT_WINDOW, Counters, Segment, Window, gc_paused
+from .oracle import GeneratorSpec, default_region, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
 PAPER_SCALE_SIZES = DEFAULT_SIZES + (10_000_000,)
@@ -86,11 +86,18 @@ def pass_seed(base_seed: int, size: int, pass_index: int) -> int:
 
 
 def checksum_segments(segments) -> float:
-    """Order-independent sum of coordinates, each rounded to 6 decimals."""
+    """Order-independent sum of coordinates, each rounded to 6 decimals.
+    Raises ValueError naming the first segment with a coordinate v for
+    which v * 1e6 is not finite."""
     micro = 0
-    for (ax, ay), (bx, by) in segments:
-        micro += (round(ax * 1e6) + round(ay * 1e6)
-                  + round(bx * 1e6) + round(by * 1e6))
+    try:
+        for (ax, ay), (bx, by) in segments:
+            micro += (round(ax * 1e6) + round(ay * 1e6)
+                      + round(bx * 1e6) + round(by * 1e6))
+    except (OverflowError, ValueError):  # round() of an inf or a NaN
+        raise ValueError(f"cannot checksum output segment (({ax!r}, {ay!r}), "
+                         f"({bx!r}, {by!r})): a coordinate is not finite"
+                         ) from None
     return micro / 1e6
 
 

@@ -3,6 +3,8 @@
 Subcommands: `clip` segment files, `render` runs to SVG, `bench` the timing
 suite to CSV, `verify` a clipper against the exact oracle.  Exit status 0 on
 success, 1 on usage or input errors, 2 when verification finds a mismatch.
+Each command imports the modules that only it needs (`svg`, `bench`,
+`oracle`) when it runs, so `clip` loads just the clipping core.
 """
 
 from __future__ import annotations
@@ -11,13 +13,8 @@ import argparse
 import sys
 
 from .baselines import CLIPPERS, UnknownClipperError, clip_many, get_clipper
-from .bench import (BenchConfig, DEFAULT_SIZES, PAPER_SCALE_SIZES, format_table,
-                    run_suite, write_csv)
-from .geom import (Counters, SegmentFormatError, Window, gc_paused,
-                   read_segments, validate_window, write_segments)
-from .oracle import (DEFAULT_WINDOW, GeneratorSpec, check_equivalence,
-                     default_region)
-from .svg import render_svg
+from .geom import (DEFAULT_WINDOW, Counters, SegmentFormatError, Window,
+                   gc_paused, read_segments, validate_window, write_segments)
 
 USAGE_ERROR = 1
 VERIFY_MISMATCH = 2
@@ -174,6 +171,7 @@ def cmd_clip(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .svg import render_svg
     counts = _clip_file(args, lambda segments, clipped: _write_text(
         args.output, render_svg(segments, clipped, args.window)))
     if counts is None:
@@ -184,14 +182,16 @@ def cmd_render(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+    from .oracle import default_region
     sizes = args.sizes
     iterations = args.iterations
     if args.paper_scale:
-        sizes = sizes or PAPER_SCALE_SIZES
+        sizes = sizes or bench.PAPER_SCALE_SIZES
         iterations = 100
     try:
-        config = BenchConfig(
-            sizes=sizes or DEFAULT_SIZES,
+        config = bench.BenchConfig(
+            sizes=sizes or bench.DEFAULT_SIZES,
             iterations=iterations,
             seed=args.seed,
             window=args.window,
@@ -203,15 +203,20 @@ def cmd_bench(args) -> int:
     # create the output now: an unwritable path fails before the suite runs
     if not _write(args.output, lambda: _write_text(args.output, "")):
         return USAGE_ERROR
-    rows = run_suite(config)
-    if not _write(args.output, lambda: write_csv(rows, args.output)):
+    try:
+        rows = bench.run_suite(config)
+    except ValueError as exc:  # an output coordinate the checksum rejects
+        print(f"segclip: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(format_table(rows))
+    if not _write(args.output, lambda: bench.write_csv(rows, args.output)):
+        return USAGE_ERROR
+    print(bench.format_table(rows))
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .oracle import GeneratorSpec, check_equivalence, default_region
     spec = GeneratorSpec(seed=args.seed, count=args.count,
                          region=args.region or default_region(args.window))
     try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -39,10 +38,8 @@ class Window(NamedTuple):
         """Larger of width and height."""
         return max(self.x_right - self.x_left, self.y_top - self.y_bottom)
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """The four corner points: BL, BR, TL, TR."""
-        xl, xr, yb, yt = self
-        return (Point(xl, yb), Point(xr, yb), Point(xl, yt), Point(xr, yt))
+
+DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 
 
 # A clipper either rejects a segment outright (None) or accepts a possibly
@@ -50,7 +47,6 @@ class Window(NamedTuple):
 ClipResult = Optional[Segment]
 
 
-@dataclass(slots=True)
 class Counters:
     """Instrumentation record threaded through every clipper call.
 
@@ -62,9 +58,22 @@ class Counters:
     Counts only ever increase; create a fresh instance per measurement.
     """
 
-    divisions: int = 0
-    intersections_computed: int = 0
-    predicate_evals: int = 0
+    __slots__ = ("divisions", "intersections_computed", "predicate_evals")
+
+    def __init__(self, divisions: int = 0, intersections_computed: int = 0,
+                 predicate_evals: int = 0):
+        self.divisions = divisions
+        self.intersections_computed = intersections_computed
+        self.predicate_evals = predicate_evals
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self):
+        return "Counters(%s)" % ", ".join(
+            f"{k}={getattr(self, k)}" for k in self.__slots__)
 
 
 class gc_paused:
@@ -112,19 +121,6 @@ def validate_window(w: Window) -> Window:
         raise DegenerateWindowError(
             f"window requires x_left < x_right and y_bottom < y_top: {w!r}")
     return w
-
-
-def window_contains(p: Point, w: Window, ulps: int = 4) -> bool:
-    """Closed-window containment with a small floating-point allowance.
-
-    The allowance is `ulps` units in the last place measured at the window's
-    coordinate scale per axis (measuring at the boundary value itself would
-    make the allowance vacuous for a boundary at 0).
-    """
-    xl, xr, yb, yt = w
-    sx = ulps * math.ulp(max(abs(xl), abs(xr)))
-    sy = ulps * math.ulp(max(abs(yb), abs(yt)))
-    return xl - sx <= p[0] <= xr + sx and yb - sy <= p[1] <= yt + sy
 
 
 # --- segment text format ----------------------------------------------------

@@ -20,21 +20,20 @@ from functools import lru_cache
 from typing import Optional
 
 from .baselines import clip_many, get_clipper
-from .geom import (Counters, Point, Segment, Window, gc_paused,
-                   validate_window)
+from .geom import (DEFAULT_WINDOW, Counters, Point, Segment, Window,
+                   gc_paused, validate_window)
 
-DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
+# sampling region extent over window extent: segments then land in a useful
+# mix of dispositions, some wholly outside, some crossing, some inside
+REGION_FACTOR = 3.0
 
 
-def default_region(window: Window = DEFAULT_WINDOW, factor: float = 3.0) -> Window:
-    """Square sampling region centered on the window, `factor` times its extent.
-
-    With the default factor, segments land in a useful mix of dispositions:
-    some wholly outside, some crossing, some inside.
-    """
+def default_region(window: Window = DEFAULT_WINDOW) -> Window:
+    """Square sampling region centered on the window, `REGION_FACTOR` times
+    its extent."""
     cx = (window.x_left + window.x_right) / 2.0
     cy = (window.y_bottom + window.y_top) / 2.0
-    half = factor * window.extent() / 2.0
+    half = REGION_FACTOR * window.extent() / 2.0
     return Window(cx - half, cx + half, cy - half, cy + half)
 
 

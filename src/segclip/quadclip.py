@@ -23,26 +23,12 @@ output to a single point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geom import ClipResult, Counters, Point, Segment, Window
 
 
-def quad_orientation(p1: Point, p2: Point, corner: Point) -> float:
-    """Signed area term (corner - p2) x (p1 - corner).
-
-    Zero iff p1, p2, corner are collinear; the sign tells on which side of
-    the directed line p1->p2 the window corner lies, i.e. whether the
-    quadrilateral built from the segment and a boundary segment ending at
-    `corner` is concave or convex there.
-    """
-    (x1, y1), (x2, y2), (cx, cy) = p1, p2, corner
-    return (cx - x2) * (y1 - cy) - (cy - y2) * (x1 - cx)
-
-
-@dataclass(frozen=True)
-class EndpointOutcome:
+class EndpointOutcome(NamedTuple):
     """Result of processing one endpoint.
 
     Either a same-side trivial rejection of the whole segment, or the
@@ -55,42 +41,48 @@ class EndpointOutcome:
     flag: int = 0
 
 
-def _clip_endpoint(x1, y1, x2, y2, xl, xr, yb, yt, c: Counters):
-    """One endpoint pass; returns (x1, y1, flag) or None on trivial rejection.
+def clip_endpoint(p1: Point, p2: Point, w: Window, counters: Counters) -> EndpointOutcome:
+    """Process endpoint p1 of segment p1-p2 against the window.
+
+    Moves p1 onto the window outline when the segment verifiably crosses a
+    boundary there; flag 0 means the segment misses the window as seen from
+    this endpoint's sections.
 
     The control flow is deliberate: predicate rejections assign the flag and
     fall through, the y section reads the x section's updated coordinates,
     and the y section's assignment is the one returned.
     """
+    (x1, y1), (x2, y2) = p1, p2
+    xl, xr, yb, yt = w
     if x1 < xl:
         if x2 < xl:
-            return None
-        c.predicate_evals += 1
+            return EndpointOutcome(True)
+        counters.predicate_evals += 1
         if (xl - x2) * (y1 - yt) < (x1 - xl) * (yt - y2):
             flag = 0  # passes above the top-left corner
         else:
-            c.predicate_evals += 1
+            counters.predicate_evals += 1
             if (xl - x2) * (y1 - yb) > (x1 - xl) * (yb - y2):
                 flag = 0  # passes below the bottom-left corner
             else:
-                c.divisions += 1
-                c.intersections_computed += 1
+                counters.divisions += 1
+                counters.intersections_computed += 1
                 y1 = y1 + (y2 - y1) * (xl - x1) / (x2 - x1)
                 x1 = xl
                 flag = 1
     elif x1 > xr:
         if x2 > xr:
-            return None
-        c.predicate_evals += 1
+            return EndpointOutcome(True)
+        counters.predicate_evals += 1
         if (xr - x2) * (y1 - yt) > (x1 - xr) * (yt - y2):
             flag = 0  # passes above the top-right corner
         else:
-            c.predicate_evals += 1
+            counters.predicate_evals += 1
             if (xr - x2) * (y1 - yb) < (x1 - xr) * (yb - y2):
                 flag = 0  # passes below the bottom-right corner
             else:
-                c.divisions += 1
-                c.intersections_computed += 1
+                counters.divisions += 1
+                counters.intersections_computed += 1
                 y1 = y1 + (y2 - y1) * (xr - x1) / (x2 - x1)
                 x1 = xr
                 flag = 1
@@ -99,55 +91,40 @@ def _clip_endpoint(x1, y1, x2, y2, xl, xr, yb, yt, c: Counters):
 
     if y1 < yb:
         if y2 < yb:
-            return None
-        c.predicate_evals += 1
+            return EndpointOutcome(True)
+        counters.predicate_evals += 1
         if (xl - x2) * (y1 - yb) < (x1 - xl) * (yb - y2):
             flag = 0  # passes left of the bottom-left corner
         else:
-            c.predicate_evals += 1
+            counters.predicate_evals += 1
             if (xr - x2) * (y1 - yb) > (x1 - xr) * (yb - y2):
                 flag = 0  # passes right of the bottom-right corner
             else:
-                c.divisions += 1
-                c.intersections_computed += 1
+                counters.divisions += 1
+                counters.intersections_computed += 1
                 x1 = x1 + (x2 - x1) * (yb - y1) / (y2 - y1)
                 y1 = yb
                 flag = 1
     elif y1 > yt:
         if y2 > yt:
-            return None
-        c.predicate_evals += 1
+            return EndpointOutcome(True)
+        counters.predicate_evals += 1
         if (xl - x2) * (y1 - yt) > (x1 - xl) * (yt - y2):
             flag = 0  # passes left of the top-left corner
         else:
-            c.predicate_evals += 1
+            counters.predicate_evals += 1
             if (xr - x2) * (y1 - yt) < (x1 - xr) * (yt - y2):
                 flag = 0  # passes right of the top-right corner
             else:
-                c.divisions += 1
-                c.intersections_computed += 1
+                counters.divisions += 1
+                counters.intersections_computed += 1
                 x1 = x1 + (x2 - x1) * (yt - y1) / (y2 - y1)
                 y1 = yt
                 flag = 1
     else:
         flag = 1
 
-    return x1, y1, flag
-
-
-def clip_endpoint(p1: Point, p2: Point, w: Window, counters: Counters) -> EndpointOutcome:
-    """Process endpoint p1 of segment p1-p2 against the window.
-
-    Moves p1 onto the window outline when the segment verifiably crosses a
-    boundary there; flag 0 means the segment misses the window as seen from
-    this endpoint's sections.
-    """
-    out = _clip_endpoint(p1[0], p1[1], p2[0], p2[1],
-                         w[0], w[1], w[2], w[3], counters)
-    if out is None:
-        return EndpointOutcome(trivially_rejected=True)
-    x, y, flag = out
-    return EndpointOutcome(False, Point(x, y), flag)
+    return EndpointOutcome(False, Point(x1, y1), flag)
 
 
 def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:

@@ -13,15 +13,18 @@ from typing import Iterable, Optional
 
 from .geom import Segment, Window, format_coord
 
+PAD_FRACTION = 0.10
+PX_WIDTH = 800
 
-def _viewport(inputs: list[Segment], window: Window, pad_fraction: float) -> Window:
+
+def _viewport(inputs: list[Segment], window: Window) -> Window:
     xs = [window.x_left, window.x_right]
     ys = [window.y_bottom, window.y_top]
     for (ax, ay), (bx, by) in inputs:
         xs.extend((ax, bx))
         ys.extend((ay, by))
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-    pad = pad_fraction * max(x_hi - x_lo, y_hi - y_lo, 1e-9)
+    pad = PAD_FRACTION * max(x_hi - x_lo, y_hi - y_lo, 1e-9)
     return Window(x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad)
 
 
@@ -35,20 +38,19 @@ def _lines(segments: Iterable[Segment], stroke: str, stroke_width: str) -> list[
     return group
 
 
-def render_svg(inputs: list[Segment], clipped: list[Segment], window: Window,
-               pad_fraction: float = 0.10, px_width: int = 800) -> str:
+def render_svg(inputs: list[Segment], clipped: list[Segment], window: Window) -> str:
     """SVG 1.1 document for one clipping run (clipped segments drawn above
     the inputs, window outline on top)."""
-    vp = _viewport(inputs, window, pad_fraction)
+    vp = _viewport(inputs, window)
     vw = vp.x_right - vp.x_left
     vh = vp.y_top - vp.y_bottom
-    px_height = max(1, round(px_width * vh / vw))
+    px_height = max(1, round(PX_WIDTH * vh / vw))
     stroke = format_coord(max(vw, vh) / 300.0)
     flip = format_coord(vp.y_bottom + vp.y_top)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{px_width}" height="{px_height}" '
+        f'width="{PX_WIDTH}" height="{px_height}" '
         f'viewBox="{format_coord(vp.x_left)} {format_coord(vp.y_bottom)} '
         f'{format_coord(vw)} {format_coord(vh)}">',
         # world y grows upward; SVG y grows downward

@@ -1,10 +1,14 @@
 """Independent exact reference used to validate frozen expected values.
 
 Written the dumbest possible way -- fractions.Fraction end to end, no code
-shared with segclip.oracle (which scales to big integers internally).
+shared with segclip.oracle (which scales to big integers internally).  The
+float helpers at the end serve test filters and assertions only.
 """
 
+import math
 from fractions import Fraction
+
+from segclip import Point
 
 
 def frac_orientation(p1, p2, corner):
@@ -40,3 +44,34 @@ def frac_clip(seg, window):
     if lo > hi:
         return None
     return ((x1 + dx * lo, y1 + dy * lo), (x1 + dx * hi, y1 + dy * hi))
+
+
+def quad_orientation(p1, p2, corner):
+    """Signed area term (corner - p2) x (p1 - corner).
+
+    Zero iff p1, p2, corner are collinear; the sign tells on which side of
+    the directed line p1->p2 the window corner lies, i.e. whether the
+    quadrilateral built from the segment and a boundary segment ending at
+    `corner` is concave or convex there.
+    """
+    (x1, y1), (x2, y2), (cx, cy) = p1, p2, corner
+    return (cx - x2) * (y1 - cy) - (cy - y2) * (x1 - cx)
+
+
+def corners(w):
+    """The four corner points: BL, BR, TL, TR."""
+    xl, xr, yb, yt = w
+    return (Point(xl, yb), Point(xr, yb), Point(xl, yt), Point(xr, yt))
+
+
+def window_contains(p, w, ulps: int = 4) -> bool:
+    """Closed-window containment with a small floating-point allowance.
+
+    The allowance is `ulps` units in the last place measured at the window's
+    coordinate scale per axis (measuring at the boundary value itself would
+    make the allowance vacuous for a boundary at 0).
+    """
+    xl, xr, yb, yt = w
+    sx = ulps * math.ulp(max(abs(xl), abs(xr)))
+    sy = ulps * math.ulp(max(abs(yb), abs(yt)))
+    return xl - sx <= p[0] <= xr + sx and yb - sy <= p[1] <= yt + sy

@@ -13,7 +13,8 @@ unit tests cover the exactly-representable corner cases).
 import hypothesis.strategies as st
 
 from segclip import Counters, Point, Segment, Window
-from segclip.quadclip import quad_orientation
+
+from _reference import corners, quad_orientation
 
 WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 # the unit window, and windows where the float clippers overflow, underflow
@@ -91,4 +92,4 @@ def oblique_corner_collinear(s: Segment, w: Window) -> bool:
     (ax, ay), (bx, by) = s
     if (ax == bx and ay == by) or ax == bx or ay == by:
         return False
-    return any(quad_orientation(s.a, s.b, c) == 0.0 for c in w.corners())
+    return any(quad_orientation(s.a, s.b, c) == 0.0 for c in corners(w))

@@ -1,4 +1,6 @@
 import gc
+import math
+import re
 
 import pytest
 
@@ -7,7 +9,7 @@ from segclip import (BenchConfig, GeneratorSpec, Point, Segment, Window,
                      checksum_segments, gen_segments, pass_seed,
                      relative_execution, run_suite, time_algorithm, write_csv)
 from segclip.bench import CSV_FIELDS, REFERENCE_RATIOS, format_table, rows_to_csv
-from segclip.oracle import DEFAULT_WINDOW
+from segclip.geom import DEFAULT_WINDOW
 from segclip.quadclip import clip_segment
 
 W = DEFAULT_WINDOW
@@ -52,6 +54,15 @@ def test_checksum_order_independent():
     s1 = Segment(Point(0.1, 0.2), Point(0.3, 0.4))
     s2 = Segment(Point(1.5, 2.5), Point(3.5, 4.5))
     assert checksum_segments([s1, s2]) == checksum_segments([s2, s1])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_checksum_names_a_non_finite_segment(bad):
+    segs = [Segment(Point(1.0, 2.0), Point(3.0, 4.0)),
+            Segment(Point(5.0, 6.0), Point(bad, 8.0))]
+    bad_segment = f"((5.0, 6.0), ({bad!r}, 8.0))"
+    with pytest.raises(ValueError, match=re.escape(bad_segment)):
+        checksum_segments(segs)
 
 
 def test_time_algorithm_empty_corpus():

