@@ -18,8 +18,7 @@ _EXPORTS = {
     "baselines": ("CLIPPERS", "UnknownClipperError", "clip_many", "cs_clip",
                   "get_clipper", "lb_clip"),
     "bench": ("BenchConfig", "BenchRow", "checksum_segments", "pass_seed",
-              "relative_execution", "run_suite", "time_algorithm",
-              "write_csv"),
+              "run_suite", "time_algorithm"),
     "geom": ("ClipResult", "Counters", "DegenerateWindowError",
              "NonFiniteError", "Point", "Segment", "SegmentFormatError",
              "Window", "parse_segments", "read_segments", "validate_window",

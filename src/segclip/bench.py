@@ -13,18 +13,16 @@ the algorithms may legitimately produce.
 
 from __future__ import annotations
 
-import csv
 import gc
-import io
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baselines import CLIPPERS, clip_many, get_clipper
 from .geom import DEFAULT_WINDOW, Counters, Segment, Window, gc_paused
 from .oracle import GeneratorSpec, default_region, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
-PAPER_SCALE_SIZES = DEFAULT_SIZES + (10_000_000,)
 
 # Relative total execution times of the original C++ implementations
 # (11th-gen i5-1135G7, average over 100 iterations).  Used only for
@@ -51,11 +49,14 @@ class BenchConfig:
     iterations: int = 10
     seed: int = 1
     window: Window = DEFAULT_WINDOW
-    region: Window = default_region()
+    region: Window | None = None  # None: default_region(window)
 
     def __post_init__(self):
-        """Raise ValueError unless sizes are positive and ascending and
-        iterations >= 1, so that a bad config fails before any pass runs."""
+        """Sample around `window` unless a region is given.  Raise ValueError
+        unless sizes are positive and ascending and iterations >= 1, so that
+        a bad config fails before any pass runs."""
+        if self.region is None:
+            object.__setattr__(self, "region", default_region(self.window))
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError(f"sizes must be positive: {self.sizes}")
         if list(self.sizes) != sorted(self.sizes):
@@ -64,20 +65,12 @@ class BenchConfig:
             raise ValueError(f"iterations must be >= 1: {self.iterations}")
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     size: int
     clipper: str
     avg_total_ms: float
-    ratio_vs_quadclip: float
+    ratio_vs_quadclip: float  # baseline avg / quadclip avg; > 1 favors quadclip
     checksum: float
-
-
-def relative_execution(benchmark_avg_ms: float, proposed_avg_ms: float) -> float:
-    """Benchmark time over proposed time; > 1 favors the proposed clipper."""
-    if proposed_avg_ms == 0:
-        raise ZeroDivisionError("proposed average execution time is zero")
-    return benchmark_avg_ms / proposed_avg_ms
 
 
 def pass_seed(base_seed: int, size: int, pass_index: int) -> int:
@@ -158,25 +151,17 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
                 size=size,
                 clipper=cid,
                 avg_total_ms=avg,
-                ratio_vs_quadclip=relative_execution(avg, quad_avg),
+                ratio_vs_quadclip=avg / quad_avg,
                 checksum=checksums[cid],
             ))
     return rows
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in rows:
-        writer.writerow([r.size, r.clipper, f"{r.avg_total_ms:.6f}",
-                         f"{r.ratio_vs_quadclip:.4f}", f"{r.checksum:.6f}"])
-    return buf.getvalue()
-
-
-def write_csv(rows: list[BenchRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(rows_to_csv(rows))
+    """CSV text with a `CSV_FIELDS` header; no field ever needs quoting."""
+    return ",".join(CSV_FIELDS) + "\n" + "".join(
+        f"{r.size},{r.clipper},{r.avg_total_ms:.6f},"
+        f"{r.ratio_vs_quadclip:.4f},{r.checksum:.6f}\n" for r in rows)
 
 
 def format_table(rows: list[BenchRow]) -> str:

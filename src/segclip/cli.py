@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--region", type=_window_arg, default=None,
                          metavar="XL,YB,XR,YT",
                          help="sampling region (default: 3x window extent)")
-    p_bench.add_argument("--paper-scale", action="store_true",
-                         help="long run: sizes up to 1e7 and 100 iterations")
     add_common(p_bench, with_algo=False)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -118,98 +116,78 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path, write) -> bool:
-    """Call write(); report an OSError as `cannot write path` on stderr."""
+class _Failure(Exception):
+    """A command failed; `main` prints `segclip: MESSAGE` and exits 1."""
+
+
+def _write(path, write, *args):
+    """Call write(path, *args), turning an OSError into a _Failure."""
     try:
-        write()
+        write(path, *args)
     except OSError as exc:
-        print(f"segclip: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise _Failure(f"cannot write {path}: {exc}")
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as f:
+def _write_text(path, text, mode="w"):
+    with open(path, mode, encoding="utf-8") as f:
         f.write(text)
 
 
 def _clip_file(args, write):
-    """Read args.input, clip it with args.algo and call write(segments,
-    clipped).  Returns the (read, clipped) counts, or None after reporting
-    an error on stderr.  Cyclic GC stays paused throughout, as the run makes
-    only acyclic tuples of floats, which reference counting frees."""
+    """Read args.input, clip it with args.algo and write the output through
+    write(args.output, segments, clipped).  Returns the (read, clipped)
+    counts.  Cyclic GC stays paused throughout, as the run makes only
+    acyclic tuples of floats, which reference counting frees."""
     with gc_paused():
         try:
             segments = read_segments(args.input)
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"segclip: cannot read {args.input}: {exc}", file=sys.stderr)
-            return None
+            raise _Failure(f"cannot read {args.input}: {exc}")
         except SegmentFormatError as exc:
-            print(f"segclip: {args.input}: {exc}", file=sys.stderr)
-            return None
-        try:
-            clip = get_clipper(args.algo)
-        except UnknownClipperError:
-            print(f"segclip: unknown algorithm: {args.algo}", file=sys.stderr)
-            return None
+            raise _Failure(f"{args.input}: {exc}")
+        clip = get_clipper(args.algo)
         clipped = [r for r in clip_many(clip, segments, args.window,
                                         Counters())
                    if r is not None]
-        if not _write(args.output, lambda: write(segments, clipped)):
-            return None
+        _write(args.output, write, segments, clipped)
         return len(segments), len(clipped)
 
 
 def cmd_clip(args) -> int:
-    counts = _clip_file(
-        args, lambda segments, clipped: write_segments(args.output, clipped))
-    if counts is None:
-        return USAGE_ERROR
-    read, accepted = counts
+    read, accepted = _clip_file(
+        args, lambda path, segments, clipped: write_segments(path, clipped))
     print(f"read {read} accepted {accepted} rejected {read - accepted}")
     return 0
 
 
 def cmd_render(args) -> int:
     from .svg import render_svg
-    counts = _clip_file(args, lambda segments, clipped: _write_text(
-        args.output, render_svg(segments, clipped, args.window)))
-    if counts is None:
-        return USAGE_ERROR
-    read, clipped = counts
+    read, clipped = _clip_file(args, lambda path, segments, clipped: (
+        _write_text(path, render_svg(segments, clipped, args.window))))
     print(f"rendered {read} segments ({clipped} clipped) to {args.output}")
     return 0
 
 
 def cmd_bench(args) -> int:
     from . import bench
-    from .oracle import default_region
-    sizes = args.sizes
-    iterations = args.iterations
-    if args.paper_scale:
-        sizes = sizes or bench.PAPER_SCALE_SIZES
-        iterations = 100
     try:
         config = bench.BenchConfig(
-            sizes=sizes or bench.DEFAULT_SIZES,
-            iterations=iterations,
+            sizes=args.sizes or bench.DEFAULT_SIZES,
+            iterations=args.iterations,
             seed=args.seed,
             window=args.window,
-            region=args.region or default_region(args.window),
+            region=args.region,
         )
     except ValueError as exc:
-        print(f"segclip: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    # create the output now: an unwritable path fails before the suite runs
-    if not _write(args.output, lambda: _write_text(args.output, "")):
-        return USAGE_ERROR
+        raise _Failure(exc)
+    # an unwritable path fails before the suite runs; appending nothing
+    # keeps the previous CSV should the suite fail
+    _write(args.output, _write_text, "", "a")
     try:
         rows = bench.run_suite(config)
     except ValueError as exc:  # an output coordinate the checksum rejects
-        print(f"segclip: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if not _write(args.output, lambda: bench.write_csv(rows, args.output)):
-        return USAGE_ERROR
+        raise _Failure(exc)
+    _write(args.output, _write_text, bench.rows_to_csv(rows))
     print(bench.format_table(rows))
     print(f"wrote {args.output}")
     return 0
@@ -221,21 +199,14 @@ def cmd_verify(args) -> int:
                          region=args.region or default_region(args.window))
     try:
         report = check_equivalence(args.algo, spec, args.window, args.tolerance)
-    except UnknownClipperError:
-        print(f"segclip: unknown algorithm: {args.algo}", file=sys.stderr)
-        return USAGE_ERROR
     except ValueError as exc:  # a tolerance that is NaN, infinite or < 0
-        print(f"segclip: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _Failure(exc)
     summary = report.summary()
     print(summary)
-    if args.report and not _write(
-            args.report, lambda: _write_text(args.report, summary + "\n")):
-        return USAGE_ERROR
+    if args.report:
+        _write(args.report, _write_text, summary + "\n")
     if args.failures and report.failures:
-        if not _write(args.failures,
-                      lambda: write_segments(args.failures, report.failures)):
-            return USAGE_ERROR
+        _write(args.failures, write_segments, report.failures)
         print(f"wrote {len(report.failures)} failing inputs to {args.failures}")
     return 0 if report.ok else VERIFY_MISMATCH
 
@@ -246,7 +217,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnknownClipperError:
+        message = f"unknown algorithm: {args.algo}"
+    except _Failure as exc:
+        message = exc
+    print(f"segclip: {message}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

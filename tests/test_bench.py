@@ -5,37 +5,14 @@ import re
 import pytest
 
 import segclip.baselines as baselines
-from segclip import (BenchConfig, GeneratorSpec, Point, Segment, Window,
-                     checksum_segments, gen_segments, pass_seed,
-                     relative_execution, run_suite, time_algorithm, write_csv)
+from segclip import (BenchConfig, BenchRow, GeneratorSpec, Point, Segment,
+                     Window, checksum_segments, default_region, gen_segments,
+                     pass_seed, run_suite, time_algorithm)
 from segclip.bench import CSV_FIELDS, REFERENCE_RATIOS, format_table, rows_to_csv
 from segclip.geom import DEFAULT_WINDOW
 from segclip.quadclip import clip_segment
 
 W = DEFAULT_WINDOW
-
-
-# --- relative execution metric ----------------------------------------------
-
-
-def test_relative_execution_quotient():
-    assert relative_execution(2.0, 1.0) == 2.0
-
-
-def test_relative_execution_identity():
-    assert relative_execution(1.0, 1.0) == 1.0
-
-
-def test_relative_execution_reference_value():
-    # the published overall average for the parametric baseline
-    assert relative_execution(1.4092, 1.0) == 1.4092
-    assert REFERENCE_RATIOS["lb"]["average"] == 1.4092
-    assert REFERENCE_RATIOS["cs"]["average"] == 1.2092
-
-
-def test_relative_execution_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        relative_execution(1.0, 0.0)
 
 
 # --- checksums and single passes ----------------------------------------------
@@ -145,11 +122,9 @@ def test_pass_seed_distinct_and_stable():
     assert pass_seed(1, 10, 0) == pass_seed(1, 10, 0)
 
 
-def test_csv_output(tmp_path):
+def test_csv_output():
     rows = run_suite(BenchConfig(sizes=(10,), iterations=1, seed=5))
-    path = tmp_path / "bench.csv"
-    write_csv(rows, path)
-    lines = path.read_text().splitlines()
+    lines = rows_to_csv(rows).splitlines()
     assert lines[0] == ",".join(CSV_FIELDS)
     assert len(lines) == 4
     first = lines[1].split(",")
@@ -165,3 +140,32 @@ def test_format_table_includes_reference_column():
     assert "reference" in table
     assert "1.3665" in table  # published ratio for lb at size 10
     assert rows_to_csv(rows).startswith("size,clipper")
+    # the published overall averages
+    assert REFERENCE_RATIOS["lb"]["average"] == 1.4092
+    assert REFERENCE_RATIOS["cs"]["average"] == 1.2092
+
+
+def test_csv_bytes_of_awkward_values():
+    rows = [BenchRow(10, "quadclip", 0.5, 1.0, -0.0),
+            BenchRow(1_000_000, "lb", math.inf, math.nan, 1e20)]
+    assert rows_to_csv(rows) == (
+        "size,clipper,avg_total_ms,ratio_vs_quadclip,checksum\n"
+        "10,quadclip,0.500000,1.0000,-0.000000\n"
+        "1000000,lb,inf,nan,100000000000000000000.000000\n")
+
+
+def test_config_region_follows_the_window():
+    w = Window(100.0, 101.0, 100.0, 101.0)
+    assert BenchConfig(window=w).region == default_region(w)
+    assert BenchConfig().region == default_region()
+    given = Window(0.0, 1.0, 0.0, 1.0)
+    assert BenchConfig(window=w, region=given).region == given
+
+
+def test_run_suite_samples_around_a_far_window():
+    # sampling around the default window instead would reject every
+    # segment, leaving nothing for the checksums to compare
+    rows = run_suite(BenchConfig(window=Window(100.0, 101.0, 100.0, 101.0),
+                                 sizes=(1000,), iterations=1))
+    assert len({r.checksum for r in rows}) == 1
+    assert rows[0].checksum > 0.0

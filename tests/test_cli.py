@@ -278,6 +278,15 @@ def test_bench_non_finite_output_is_one_error_line(tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
+def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(baselines.CLIPPERS, "_overflow", _overflowing_clip)
+    dst = tmp_path / "b.csv"
+    dst.write_text("previous run\n")
+    assert run_cli("bench", "-o", str(dst), "--sizes", "10",
+                   "--iterations", "1") == 1
+    assert dst.read_text() == "previous run\n"
+
+
 def test_bench_huge_window_never_ends_in_a_traceback(tmp_path, capsys):
     # at this scale the float clippers may overflow; the run must then end
     # in one `segclip:` line, not an exception
@@ -369,6 +378,73 @@ def test_verify_unwritable_failures(tmp_path, capsys, monkeypatch):
     assert "MISMATCH" in captured.out
 
 
+# --- failure lines --------------------------------------------------------------
+
+
+def _constant_overflow(s, w, c):
+    return Segment(Point(math.inf, 0.0), Point(1.0, 2.0))
+
+
+_NO_DIR = ("cannot write {tmp}/missing-dir/out: "
+           "[Errno 2] No such file or directory: '{tmp}/missing-dir/out'")
+
+
+@pytest.mark.parametrize("argv, message, fake_clipper", [
+    pytest.param("clip {tmp}/absent.txt -o {tmp}/out",
+                 "cannot read {tmp}/absent.txt: "
+                 "[Errno 2] No such file or directory: '{tmp}/absent.txt'", None,
+                 id="missing-input"),
+    pytest.param("clip {tmp}/latin.txt -o {tmp}/out",
+                 "cannot read {tmp}/latin.txt: 'utf-8' codec can't decode "
+                 "byte 0xff in position 8: invalid start byte", None,
+                 id="non-utf8-input"),
+    pytest.param("render {tmp}/bad.txt -o {tmp}/out",
+                 "{tmp}/bad.txt: line 1: expected 4 coordinates, got 1", None,
+                 id="parse-error"),
+    pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo nln",
+                 "unknown algorithm: nln", None, id="clip-unknown-algo"),
+    pytest.param("render {tmp}/in.txt -o {tmp}/out --algo nln",
+                 "unknown algorithm: nln", None, id="render-unknown-algo"),
+    pytest.param("verify --count 10 --algo nln",
+                 "unknown algorithm: nln", None, id="verify-unknown-algo"),
+    pytest.param("clip {tmp}/in.txt -o {tmp}/missing-dir/out", _NO_DIR, None,
+                 id="clip-unwritable"),
+    pytest.param("render {tmp}/in.txt -o {tmp}/missing-dir/out", _NO_DIR,
+                 None, id="render-unwritable"),
+    pytest.param("bench -o {tmp}/missing-dir/out --sizes 10 --iterations 1",
+                 _NO_DIR, None, id="bench-unwritable"),
+    pytest.param("verify --count 10 --report {tmp}/missing-dir/out", _NO_DIR,
+                 None, id="report-unwritable"),
+    pytest.param("verify --count 20 --algo _always_reject "
+                 "--failures {tmp}/missing-dir/out", _NO_DIR,
+                 _always_reject, id="failures-unwritable"),
+    pytest.param("verify --count 10 --tolerance nan",
+                 "tolerance must be finite and >= 0: nan", None,
+                 id="nan-tolerance"),
+    pytest.param("bench -o {tmp}/out --sizes 100,10",
+                 "sizes must be ascending: (100, 10)", None,
+                 id="descending-sizes"),
+    pytest.param("bench -o {tmp}/out --sizes 0,10",
+                 "sizes must be positive: (0, 10)", None,
+                 id="non-positive-sizes"),
+    pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1",
+                 "cannot checksum output segment ((inf, 0.0), (1.0, 2.0)): "
+                 "a coordinate is not finite", _constant_overflow,
+                 id="non-finite-checksum"),
+])
+def test_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch, argv,
+                                    message, fake_clipper):
+    (tmp_path / "in.txt").write_text("-5 5 5 5\n")
+    (tmp_path / "bad.txt").write_text("abc\n")
+    (tmp_path / "latin.txt").write_bytes(b"0 0 1 1\n\xff\xfe 2 3 4\n")
+    if fake_clipper is not None:
+        monkeypatch.setitem(baselines.CLIPPERS, fake_clipper.__name__,
+                            fake_clipper)
+    assert run_cli(*argv.format(tmp=tmp_path).split()) == 1
+    assert capsys.readouterr().err == (
+        "segclip: " + message.format(tmp=tmp_path) + "\n")
+
+
 # --- argument handling ----------------------------------------------------------
 
 
@@ -376,6 +452,14 @@ def test_usage_error_exit_code_is_1(capsys):
     assert run_cli("clip") == 1          # missing required arguments
     assert run_cli("frobnicate") == 1    # unknown subcommand
     assert run_cli() == 1                # no subcommand
+
+
+def test_bench_paper_scale_flag_is_gone(tmp_path, capsys):
+    # paper scale is `--sizes 10,...,10000000 --iterations 100`, spelled out
+    assert run_cli("bench", "-o", str(tmp_path / "b.csv"),
+                   "--paper-scale") == 1
+    assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_window_argument_validation(capsys):

@@ -22,8 +22,9 @@ def test_every_exported_name_resolves():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'window_contains'"):
-        segclip.window_contains
+    for name in ("window_contains", "relative_execution", "write_csv"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(segclip, name)
     with pytest.raises(ImportError):
         from segclip import quad_orientation  # noqa: F401
 
