@@ -78,19 +78,29 @@ def pass_seed(base_seed: int, size: int, pass_index: int) -> int:
     return (base_seed * 1_000_003 + size) * 1_009 + pass_index
 
 
-def checksum_segments(segments) -> float:
-    """Order-independent sum of coordinates, each rounded to 6 decimals.
-    Raises ValueError naming the first segment with a coordinate v for
-    which v * 1e6 is not finite."""
-    micro = 0
+def checksum_segments(segments: list[Segment]) -> float:
+    """Order-independent sum of coordinates, each rounded to 6 decimals:
+    the integers `round(v * 1e6)`, summed exactly, over 1e6.  Raises
+    ValueError naming the first segment with a coordinate v for which
+    v * 1e6 is not finite.
+
+    `float.__round__` is `round` without the builtin's dispatch; `v * 1e6`
+    is a float for float, int and `Fraction` coordinates alike.
+    """
+    r = float.__round__
     try:
-        for (ax, ay), (bx, by) in segments:
-            micro += (round(ax * 1e6) + round(ay * 1e6)
-                      + round(bx * 1e6) + round(by * 1e6))
+        micro = sum([r(ax * 1e6) + r(ay * 1e6) + r(bx * 1e6) + r(by * 1e6)
+                     for (ax, ay), (bx, by) in segments])
     except (OverflowError, ValueError):  # round() of an inf or a NaN
-        raise ValueError(f"cannot checksum output segment (({ax!r}, {ay!r}), "
-                         f"({bx!r}, {by!r})): a coordinate is not finite"
-                         ) from None
+        for (ax, ay), (bx, by) in segments:  # find the segment to name
+            try:
+                r(ax * 1e6) + r(ay * 1e6) + r(bx * 1e6) + r(by * 1e6)
+            except (OverflowError, ValueError):
+                raise ValueError(
+                    f"cannot checksum output segment (({ax!r}, {ay!r}), "
+                    f"({bx!r}, {by!r})): a coordinate is not finite"
+                ) from None
+        raise
     return micro / 1e6
 
 
@@ -102,13 +112,16 @@ def time_algorithm(clipper, segments: list[Segment], w: Window) -> tuple[float, 
     clip = get_clipper(clipper)
     counters = Counters()
     # cycle collection pauses would land on whichever clipper happens to be
-    # running; keep them out of the timed region
+    # running; keep them out of the timed region, and free the results
+    # before GC resumes so that no collection rescans them afterwards
     with gc_paused():
         start = time.perf_counter()
         accepted = [r for r in clip_many(clip, segments, w, counters)
                     if r is not None]
         elapsed_ms = (time.perf_counter() - start) * 1e3
-    return elapsed_ms, checksum_segments(accepted)
+        checksum = checksum_segments(accepted)
+        del accepted
+    return elapsed_ms, checksum
 
 
 def run_suite(config: BenchConfig) -> list[BenchRow]:

@@ -185,7 +185,9 @@ def cmd_bench(args) -> int:
     _write(args.output, _write_text, "", "a")
     try:
         rows = bench.run_suite(config)
-    except ValueError as exc:  # an output coordinate the checksum rejects
+    # ValueError: an output coordinate the checksum rejects;
+    # RuntimeError: clippers whose checksums disagree
+    except (ValueError, RuntimeError) as exc:
         raise _Failure(exc)
     _write(args.output, _write_text, bench.rows_to_csv(rows))
     print(bench.format_table(rows))

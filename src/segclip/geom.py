@@ -84,7 +84,10 @@ class gc_paused:
     results): reference counting frees them, and each collection would only
     rescan them.  Re-enabling is the last thing `__exit__` does, because an
     allocation after it, with everything made during the block still
-    alive, would start a collection over all of it.
+    alive, would start a collection over all of it.  The caller keeps the
+    same rule: results made inside a pause are freed before it ends (use
+    them, then `del` them, inside the block).  Only what must outlive the
+    pause, such as a cache, is left for the next collection to scan.
     """
 
     def __enter__(self):

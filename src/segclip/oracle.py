@@ -205,21 +205,24 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
             f"tolerance must be finite and >= 0: {tolerance!r}")
     abs_tol = tolerance * max(1.0, w.extent())
     segments, exacts = _corpus_with_oracle(spec, w)
-    with gc_paused():
-        outs = clip_many(clip, segments, w, Counters())
     report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
                                cases_run=len(segments))
-    for s, out, exact in zip(segments, outs, exacts):
-        if (out is None) != (exact is None):
-            report.decision_mismatches += 1
-            report.failures.append(s)
-            continue
-        if out is None:
-            continue
-        err = _point_set_error(out, exact)
-        if err > report.max_coordinate_error:
-            report.max_coordinate_error = err
-        if err > abs_tol:
-            report.coordinate_mismatches += 1
-            report.failures.append(s)
+    # the clip results are compared and freed before GC resumes, so that
+    # no collection rescans them
+    with gc_paused():
+        outs = clip_many(clip, segments, w, Counters())
+        for s, out, exact in zip(segments, outs, exacts):
+            if (out is None) != (exact is None):
+                report.decision_mismatches += 1
+                report.failures.append(s)
+                continue
+            if out is None:
+                continue
+            err = _point_set_error(out, exact)
+            if err > report.max_coordinate_error:
+                report.max_coordinate_error = err
+            if err > abs_tol:
+                report.coordinate_mismatches += 1
+                report.failures.append(s)
+        del outs
     return report

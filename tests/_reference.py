@@ -2,7 +2,8 @@
 
 Written the dumbest possible way -- fractions.Fraction end to end, no code
 shared with segclip.oracle (which scales to big integers internally).  The
-float helpers at the end serve test filters and assertions only.
+float helpers after it serve test filters and assertions only, and
+`checksum_segments` keeps the bench checksum's plain loop.
 """
 
 import math
@@ -75,3 +76,18 @@ def window_contains(p, w, ulps: int = 4) -> bool:
     sx = ulps * math.ulp(max(abs(xl), abs(xr)))
     sy = ulps * math.ulp(max(abs(yb), abs(yt)))
     return xl - sx <= p[0] <= xr + sx and yb - sy <= p[1] <= yt + sy
+
+
+def checksum_segments(segments) -> float:
+    """`segclip.bench.checksum_segments` as one plain loop: the same sum of
+    `round(v * 1e6)` terms and the same error for a non-finite term."""
+    micro = 0
+    try:
+        for (ax, ay), (bx, by) in segments:
+            micro += (round(ax * 1e6) + round(ay * 1e6)
+                      + round(bx * 1e6) + round(by * 1e6))
+    except (OverflowError, ValueError):  # round() of an inf or a NaN
+        raise ValueError(f"cannot checksum output segment (({ax!r}, {ay!r}), "
+                         f"({bx!r}, {by!r})): a coordinate is not finite"
+                         ) from None
+    return micro / 1e6

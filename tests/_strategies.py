@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies, and the batch-kernel check they feed.
+"""Shared hypothesis strategies, the batch-kernel check they feed, and a
+cyclic-GC collection counter.
 
 Property tests draw coordinates from a 1/8 grid: every corner-orientation
 product is then exact in double precision, so the clippers' control flow
@@ -9,6 +10,8 @@ boundary and flip a later comparison.  That regime is measured by the seeded
 differential corpora instead; here such segments are filtered out (directed
 unit tests cover the exactly-representable corner cases).
 """
+
+import gc
 
 import hypothesis.strategies as st
 
@@ -93,3 +96,24 @@ def oblique_corner_collinear(s: Segment, w: Window) -> bool:
     if (ax == bx and ay == by) or ax == bx or ay == by:
         return False
     return any(quad_orientation(s.a, s.b, c) == 0.0 for c in corners(w))
+
+
+def collections_started(call):
+    """(call(), the number of cyclic-GC collections started during it), run
+    with GC enabled; the caller's GC setting is restored afterwards."""
+    started = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(on_gc)
+    try:
+        result = call()
+        count = len(started)
+    finally:
+        gc.callbacks.remove(on_gc)
+        (gc.enable if was_enabled else gc.disable)()
+    return result, count

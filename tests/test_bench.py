@@ -1,8 +1,9 @@
 import gc
 import math
-import re
 
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 import segclip.baselines as baselines
 from segclip import (BenchConfig, BenchRow, GeneratorSpec, Point, Segment,
@@ -11,6 +12,9 @@ from segclip import (BenchConfig, BenchRow, GeneratorSpec, Point, Segment,
 from segclip.bench import CSV_FIELDS, REFERENCE_RATIOS, format_table, rows_to_csv
 from segclip.geom import DEFAULT_WINDOW
 from segclip.quadclip import clip_segment
+
+from _reference import checksum_segments as reference_checksum
+from _strategies import collections_started
 
 W = DEFAULT_WINDOW
 
@@ -33,13 +37,39 @@ def test_checksum_order_independent():
     assert checksum_segments([s1, s2]) == checksum_segments([s2, s1])
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 1e303])  # finite, but 1e303 * 1e6 is not
 def test_checksum_names_a_non_finite_segment(bad):
     segs = [Segment(Point(1.0, 2.0), Point(3.0, 4.0)),
-            Segment(Point(5.0, 6.0), Point(bad, 8.0))]
-    bad_segment = f"((5.0, 6.0), ({bad!r}, 8.0))"
-    with pytest.raises(ValueError, match=re.escape(bad_segment)):
-        checksum_segments(segs)
+            Segment(Point(5.0, 6.0), Point(bad, 8.0)),
+            Segment(Point(-math.inf, 0.0), Point(0.0, 0.0))]
+    message = (f"cannot checksum output segment ((5.0, 6.0), ({bad!r}, 8.0)): "
+               "a coordinate is not finite")
+    for checksum in (checksum_segments, reference_checksum):
+        with pytest.raises(ValueError) as info:
+            checksum(segs)
+        assert str(info.value) == message
+
+
+# coordinates whose v * 1e6 is a round-half-to-even tie (most of the
+# (m + 0.5) / 1e6 draws), signed zeros, subnormals, +-1e9, and int and
+# Fraction coordinates
+checksum_coords = st.one_of(
+    st.floats(min_value=-1e9, max_value=1e9),
+    st.integers(-10**9, 10**9).map(lambda m: (m + 0.5) / 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e9, -1e9]),
+    st.integers(-10**9, 10**9),
+    st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**7),
+)
+checksum_points = st.tuples(checksum_coords, checksum_coords)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(checksum_points, checksum_points), max_size=40))
+@example([((2.5e-6, 0.5e-6), (1.5e-6, -2.5e-6))])  # four ties
+@example([((-0.0, 5e-324), (1e9, -1e9))])
+def test_checksum_bit_identical_to_the_plain_loop(segs):
+    assert checksum_segments(segs).hex() == reference_checksum(segs).hex()
 
 
 def test_time_algorithm_empty_corpus():
@@ -81,6 +111,34 @@ def test_time_algorithm_leaves_gc_state_alone(monkeypatch, gc_enabled):
         (gc.enable if was_enabled else gc.disable)()
     assert seen == {False}  # clipped with cyclic GC paused
     assert checksum == time_algorithm("quadclip", corpus, W)[1]
+
+
+@pytest.mark.parametrize("clipper", ["quadclip", "cs", "lb"])
+def test_time_algorithm_starts_no_collection(clipper):
+    # the results are checksummed and freed inside the pause, so nothing
+    # is left for a collection to rescan once GC is back on
+    corpus = gen_segments(GeneratorSpec(seed=24, count=20_000))
+    gc.collect()  # settle the corpus's allocation debt, as run_suite does
+    (_, checksum), started = collections_started(
+        lambda: time_algorithm(clipper, corpus, W))
+    assert started == 0
+    assert checksum > 0.0
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+def test_time_algorithm_restores_gc_when_the_checksum_raises(monkeypatch,
+                                                             gc_enabled):
+    monkeypatch.setitem(baselines.CLIPPERS, "_overflow",
+                        lambda s, w, c: Segment(Point(math.inf, 0.0), s.b))
+    corpus = gen_segments(GeneratorSpec(seed=23, count=200))
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        with pytest.raises(ValueError, match="a coordinate is not finite"):
+            time_algorithm("_overflow", corpus, W)
+        assert gc.isenabled() is gc_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # --- suites -------------------------------------------------------------------

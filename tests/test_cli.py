@@ -265,6 +265,10 @@ def _overflowing_clip(s, w, c):
     return Segment(Point(math.inf, 0.0), s.b)
 
 
+def _constant_segment(s, w, c):
+    return Segment(Point(1.0, 2.0), Point(3.0, 4.0))
+
+
 def test_bench_non_finite_output_is_one_error_line(tmp_path, capsys,
                                                    monkeypatch):
     monkeypatch.setitem(baselines.CLIPPERS, "_overflow", _overflowing_clip)
@@ -278,8 +282,13 @@ def test_bench_non_finite_output_is_one_error_line(tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
-def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(baselines.CLIPPERS, "_overflow", _overflowing_clip)
+@pytest.mark.parametrize("fake_clipper", [
+    pytest.param(_overflowing_clip, id="non-finite-checksum"),
+    pytest.param(_constant_segment, id="clippers-disagree"),
+])
+def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch,
+                                             fake_clipper):
+    monkeypatch.setitem(baselines.CLIPPERS, "_fake", fake_clipper)
     dst = tmp_path / "b.csv"
     dst.write_text("previous run\n")
     assert run_cli("bench", "-o", str(dst), "--sizes", "10",
@@ -431,6 +440,11 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
                  "cannot checksum output segment ((inf, 0.0), (1.0, 2.0)): "
                  "a coordinate is not finite", _constant_overflow,
                  id="non-finite-checksum"),
+    pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1",
+                 "clipper outputs disagree at size 10, pass 0: "
+                 "{{'quadclip': 105.678765, 'cs': 105.678765, "
+                 "'lb': 105.678765, '_constant_segment': 100.0}}",
+                 _constant_segment, id="clippers-disagree"),
 ])
 def test_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch, argv,
                                     message, fake_clipper):

@@ -15,7 +15,7 @@ import segclip.oracle as oracle
 from segclip.quadclip import clip_endpoint, clip_segment
 
 from _reference import frac_clip
-from _strategies import WINDOW
+from _strategies import WINDOW, collections_started
 
 W = WINDOW
 
@@ -270,6 +270,21 @@ def test_check_equivalence_leaves_gc_state_alone(monkeypatch, gc_enabled):
         (gc.enable if was_enabled else gc.disable)()
     # the corpus build and the clipping run with cyclic GC paused
     assert seen == {"exact_clip": {False}, "clip": {False}}
+
+
+def test_check_equivalence_starts_no_collection():
+    # the clip results are compared and freed inside the pause.  The
+    # oracle's cached corpus outlives the pause that builds it, by design,
+    # so the first call leaves allocation debt; it is settled first, as
+    # run_suite settles a fresh corpus
+    spec = GeneratorSpec(seed=90_003, count=20_000)
+    check_equivalence("quadclip", spec, W)
+    gc.collect()
+    for cid in ("quadclip", "cs", "lb"):
+        report, started = collections_started(
+            lambda: check_equivalence(cid, spec, W))
+        assert report.ok and report.cases_run == 20_000
+        assert started == 0, cid
 
 
 def test_check_equivalence_flags_broken_clipper(monkeypatch):
