@@ -19,13 +19,12 @@ _EXPORTS = {
                   "get_clipper", "lb_clip"),
     "bench": ("BenchConfig", "BenchRow", "checksum_segments", "pass_seed",
               "run_suite", "time_algorithm"),
-    "geom": ("ClipResult", "Counters", "DegenerateWindowError",
-             "NonFiniteError", "Point", "Segment", "SegmentFormatError",
-             "Window", "parse_segments", "read_segments", "validate_window",
-             "write_segments"),
+    "geom": ("Counters", "DegenerateWindowError", "NonFiniteError", "Point",
+             "Segment", "SegmentFormatError", "Window", "parse_segments",
+             "read_segments", "validate_window", "write_segments"),
     "oracle": ("EquivalenceReport", "GeneratorSpec", "check_equivalence",
                "default_region", "exact_clip", "gen_segments"),
-    "quadclip": ("EndpointOutcome", "clip_endpoint", "clip_segment"),
+    "quadclip": ("clip_segment",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

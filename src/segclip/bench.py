@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .baselines import CLIPPERS, clip_many, get_clipper
-from .geom import DEFAULT_WINDOW, Counters, Segment, Window, gc_paused
+from .geom import (DEFAULT_WINDOW, Counters, Segment, Window, gc_paused,
+                   validate_window)
 from .oracle import GeneratorSpec, default_region, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -53,10 +54,13 @@ class BenchConfig:
 
     def __post_init__(self):
         """Sample around `window` unless a region is given.  Raise ValueError
-        unless sizes are positive and ascending and iterations >= 1, so that
-        a bad config fails before any pass runs."""
+        unless the window and region are valid windows, sizes are positive
+        and ascending and iterations >= 1, so that a bad config fails before
+        any pass runs."""
+        validate_window(self.window)
         if self.region is None:
             object.__setattr__(self, "region", default_region(self.window))
+        validate_window(self.region)
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError(f"sizes must be positive: {self.sizes}")
         if list(self.sizes) != sorted(self.sizes):
@@ -143,9 +147,7 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
                                  size, config.region)
             corpus = gen_segments(spec)
             gc.collect()  # settle allocation debt from generation
-            for (_, _), (_, _) in corpus:  # touch the fresh corpus so the
-                pass                       # first clipper to run is not
-            pass_checksums = {}            # billed for cold caches
+            pass_checksums = {}
             k = pass_index % len(clippers)
             for cid in clippers[k:] + clippers[:k]:
                 ms, ck = time_algorithm(cid, corpus, config.window)

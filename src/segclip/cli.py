@@ -20,14 +20,6 @@ USAGE_ERROR = 1
 VERIFY_MISMATCH = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for
-    # verification mismatches here.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
 def _window_arg(text: str) -> Window:
     try:
         xl, yb, xr, yt = (float(t) for t in text.split(","))
@@ -58,9 +50,10 @@ def _count_arg(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="segclip",
-                     description="Clip 2D line segments against an "
-                                 "axis-aligned rectangular window.")
+    parser = argparse.ArgumentParser(
+        prog="segclip",
+        description="Clip 2D line segments against an axis-aligned "
+                    "rectangular window.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_algo=True):
@@ -218,7 +211,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        # argparse exits 2 on a usage error, but 2 means a verify mismatch
+        return 0 if exc.code == 0 else USAGE_ERROR
     try:
         return args.func(args)
     except UnknownClipperError:

@@ -60,11 +60,10 @@ class Counters:
 
     __slots__ = ("divisions", "intersections_computed", "predicate_evals")
 
-    def __init__(self, divisions: int = 0, intersections_computed: int = 0,
-                 predicate_evals: int = 0):
-        self.divisions = divisions
-        self.intersections_computed = intersections_computed
-        self.predicate_evals = predicate_evals
+    def __init__(self):
+        self.divisions = 0
+        self.intersections_computed = 0
+        self.predicate_evals = 0
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -53,16 +53,19 @@ def gen_segments(spec: GeneratorSpec) -> list[Segment]:
     Each coordinate is `lo + (hi - lo) * random()`, drawn in the order x1,
     y1, x2, y2: the formula and call order of `random.Random.uniform`, so a
     spec gives the same corpus as drawing with `uniform`, bit for bit.
+    Cyclic GC is paused while the list is built.
     """
     rand = random.Random(spec.seed).random
     xl, xr, yb, yt = spec.region
     width, height = xr - xl, yt - yb
     new = tuple.__new__
-    return [
-        new(Segment, (new(Point, (xl + width * rand(), yb + height * rand())),
-                      new(Point, (xl + width * rand(), yb + height * rand()))))
-        for _ in range(spec.count)
-    ]
+    with gc_paused():
+        return [
+            new(Segment,
+                (new(Point, (xl + width * rand(), yb + height * rand())),
+                 new(Point, (xl + width * rand(), yb + height * rand()))))
+            for _ in range(spec.count)
+        ]
 
 
 @lru_cache(maxsize=8)
@@ -154,12 +157,14 @@ class EquivalenceReport:
                 f"max coordinate error {self.max_coordinate_error:.3e}")
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _corpus_with_oracle(spec: GeneratorSpec, w: Window):
     """Corpus plus per-segment exact results, cached so that checking several
-    clippers against the same corpus prices the oracle only once.  An
-    accepted result is kept as its four coordinates (ax, ay, bx, by), each
-    the float nearest the exact value, as `float(Fraction)` gives it.
+    clippers against the same corpus prices the oracle only once.  Callers
+    check all their clippers on one corpus before the next, so only the
+    latest is kept.  An accepted result is kept as its four coordinates
+    (ax, ay, bx, by), each the float nearest the exact value, as
+    `float(Fraction)` gives it.
     Cyclic GC is paused while they are built."""
     with gc_paused():
         segments = gen_segments(spec)

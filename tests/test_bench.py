@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import segclip.baselines as baselines
-from segclip import (BenchConfig, BenchRow, GeneratorSpec, Point, Segment,
-                     Window, checksum_segments, default_region, gen_segments,
+from segclip import (BenchConfig, BenchRow, DegenerateWindowError,
+                     GeneratorSpec, NonFiniteError, Point, Segment, Window,
+                     checksum_segments, default_region, gen_segments,
                      pass_seed, run_suite, time_algorithm)
 from segclip.bench import CSV_FIELDS, REFERENCE_RATIOS, format_table, rows_to_csv
 from segclip.geom import DEFAULT_WINDOW
@@ -172,6 +173,23 @@ def test_run_suite_validation():
         run_suite(BenchConfig(sizes=(), iterations=1))
     with pytest.raises(ValueError):
         run_suite(BenchConfig(sizes=(0, 10), iterations=1))
+
+
+@pytest.mark.parametrize("field", ["window", "region"])
+@pytest.mark.parametrize("bad, error", [
+    (Window(0.0, 0.0, 0.0, 10.0), DegenerateWindowError),
+    (Window(10.0, 0.0, 0.0, 10.0), DegenerateWindowError),
+    (Window(0.0, math.nan, 0.0, 10.0), NonFiniteError),
+])
+def test_config_rejects_an_invalid_window(field, bad, error):
+    with pytest.raises(error):
+        BenchConfig(sizes=(100,), iterations=1, **{field: bad})
+
+
+def test_config_rejects_a_default_region_that_is_not_finite():
+    # three times this window's extent overflows to infinity
+    with pytest.raises(NonFiniteError):
+        BenchConfig(window=Window(0.0, 1e308, 0.0, 1e308))
 
 
 def test_pass_seed_distinct_and_stable():

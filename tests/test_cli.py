@@ -468,6 +468,14 @@ def test_usage_error_exit_code_is_1(capsys):
     assert run_cli() == 1                # no subcommand
 
 
+def test_help_exit_code_is_0(capsys):
+    assert run_cli("--help") == 0
+    assert run_cli("clip", "--help") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: segclip [-h]")
+    assert "usage: segclip clip [-h]" in out
+
+
 def test_bench_paper_scale_flag_is_gone(tmp_path, capsys):
     # paper scale is `--sizes 10,...,10000000 --iterations 100`, spelled out
     assert run_cli("bench", "-o", str(tmp_path / "b.csv"),

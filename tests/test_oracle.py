@@ -174,6 +174,27 @@ def test_gen_respects_region():
             assert -1.0 <= p.x <= 2.0 and 5.0 <= p.y <= 6.0
 
 
+@pytest.mark.parametrize("gc_enabled", [True, False])
+def test_gen_leaves_gc_state_alone(gc_enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        assert len(gen_segments(GeneratorSpec(seed=14, count=100))) == 100
+        assert gc.isenabled() is gc_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_gen_starts_no_collection():
+    # the corpus is built with cyclic GC paused, so no collection scans
+    # its tuples while the list grows
+    gc.collect()
+    corpus, started = collections_started(
+        lambda: gen_segments(GeneratorSpec(seed=15, count=20_000)))
+    assert len(corpus) == 20_000
+    assert started == 0
+
+
 def test_default_region_three_times_extent():
     assert default_region(W) == Window(-10.0, 20.0, -10.0, 20.0)
 
@@ -270,6 +291,37 @@ def test_check_equivalence_leaves_gc_state_alone(monkeypatch, gc_enabled):
         (gc.enable if was_enabled else gc.disable)()
     # the corpus build and the clipping run with cyclic GC paused
     assert seen == {"exact_clip": {False}, "clip": {False}}
+
+
+def _count_exact_clips(monkeypatch):
+    """Spy on `oracle.exact_clip`: the list of segments it is called with."""
+    calls = []
+
+    def spy_exact_clip(s, w):
+        calls.append(s)
+        return exact_clip(s, w)
+
+    monkeypatch.setattr(oracle, "exact_clip", spy_exact_clip)
+    return calls
+
+
+def test_check_equivalence_runs_the_oracle_once_per_corpus(monkeypatch):
+    calls = _count_exact_clips(monkeypatch)
+    # a seed no other test uses, so the corpus is built, not cached
+    spec = GeneratorSpec(seed=90_011, count=300)
+    for cid in ("quadclip", "cs", "lb"):
+        assert check_equivalence(cid, spec, W).ok
+    assert calls == gen_segments(spec)
+
+
+def test_check_equivalence_keeps_only_the_latest_corpus(monkeypatch):
+    calls = _count_exact_clips(monkeypatch)
+    first = GeneratorSpec(seed=90_012, count=300)
+    second = GeneratorSpec(seed=90_013, count=300)
+    for spec in (first, second, first):
+        assert check_equivalence("quadclip", spec, W).ok
+    assert calls == (gen_segments(first) + gen_segments(second)
+                     + gen_segments(first))
 
 
 def test_check_equivalence_starts_no_collection():

@@ -22,7 +22,8 @@ def test_every_exported_name_resolves():
 
 
 def test_unknown_name_raises_attribute_error():
-    for name in ("window_contains", "relative_execution", "write_csv"):
+    for name in ("window_contains", "relative_execution", "write_csv",
+                 "ClipResult", "EndpointOutcome", "clip_endpoint"):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(segclip, name)
     with pytest.raises(ImportError):
