@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", default=None,
                           help="also write the summary to this file")
     p_verify.add_argument("--failures", default=None,
-                          help="write failing inputs to this segment file")
+                          help="write failing inputs to this segment file "
+                               "(empty when there are none)")
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
@@ -194,13 +195,16 @@ def cmd_verify(args) -> int:
                          region=args.region or default_region(args.window))
     try:
         report = check_equivalence(args.algo, spec, args.window, args.tolerance)
-    except ValueError as exc:  # a tolerance that is NaN, infinite or < 0
+    # a tolerance that is NaN, infinite or < 0, or a sampling region that
+    # is not finite: the default one, 3x the window's extent, can overflow
+    except ValueError as exc:
         raise _Failure(exc)
     summary = report.summary()
     print(summary)
     if args.report:
         _write(args.report, _write_text, summary + "\n")
-    if args.failures and report.failures:
+    if args.failures:
+        # written even when empty, so no earlier run's inputs remain
         _write(args.failures, write_segments, report.failures)
         print(f"wrote {len(report.failures)} failing inputs to {args.failures}")
     return 0 if report.ok else VERIFY_MISMATCH

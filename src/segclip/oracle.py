@@ -78,12 +78,12 @@ def _window_ratios(w: Window) -> tuple[int, int, int, int, int]:
     return (d, *(n * (d // q) for n, q in ratios))
 
 
-def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
-    """Mathematically exact closed-window clipping.
+def _exact_ratios(s: Segment, w: Window) -> Optional[tuple[int, ...]]:
+    """The decision and arithmetic behind `exact_clip`: None when the
+    parametric interval is empty, otherwise the clipped endpoints as six
+    integers (ax, ay, ad, bx, by, bd), a = (ax/ad, ay/ad) and
+    b = (bx/bd, by/bd), with ad, bd > 0 and no fraction reduced.
 
-    Accepts float, int or Fraction coordinates.  Returns None when the
-    parametric interval is empty, otherwise a Segment of Fraction
-    coordinates; a single-point overlap yields a degenerate a == b result.
     A segment with both endpoints strictly beyond the same boundary is
     rejected by comparing coordinates, which Python does exactly across
     float, int and Fraction (so such a segment is rejected even with an
@@ -124,12 +124,31 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
                 hi_n, hi_d = n, d
     if lo_n * hi_d > hi_n * lo_d:
         return None
-    return Segment(
-        Point(Fraction(X1 * lo_d + dx * lo_n, scale * lo_d),
-              Fraction(Y1 * lo_d + dy * lo_n, scale * lo_d)),
-        Point(Fraction(X1 * hi_d + dx * hi_n, scale * hi_d),
-              Fraction(Y1 * hi_d + dy * hi_n, scale * hi_d)),
-    )
+    return (X1 * lo_d + dx * lo_n, Y1 * lo_d + dy * lo_n, scale * lo_d,
+            X1 * hi_d + dx * hi_n, Y1 * hi_d + dy * hi_n, scale * hi_d)
+
+
+def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
+    """Mathematically exact closed-window clipping.
+
+    Accepts float, int or Fraction coordinates.  Returns None when the
+    parametric interval is empty, otherwise a Segment of Fraction
+    coordinates; a single-point overlap yields a degenerate a == b result.
+    A segment with both endpoints strictly beyond the same boundary is
+    rejected without converting its coordinates, even when one is
+    infinite; for every other segment a non-finite coordinate raises.
+    The decision and the integer arithmetic are `_exact_ratios`'s; this
+    wrapper only reduces its endpoints to Fractions.
+    """
+    r = _exact_ratios(s, w)
+    if r is None:
+        return None
+    ax, ay, ad, bx, by, bd = r
+    return Segment(Point(Fraction(ax, ad), Fraction(ay, ad)),
+                   Point(Fraction(bx, bd), Fraction(by, bd)))
+
+
+_EXACT_CLIP = exact_clip  # the module's own oracle, whatever replaces the name
 
 
 @dataclass
@@ -158,27 +177,43 @@ class EquivalenceReport:
 
 
 @lru_cache(maxsize=1)
-def _corpus_with_oracle(spec: GeneratorSpec, w: Window):
+def _corpus_with_oracle(spec: GeneratorSpec, w: Window, clip_exact):
     """Corpus plus per-segment exact results, cached so that checking several
     clippers against the same corpus prices the oracle only once.  Callers
     check all their clippers on one corpus before the next, so only the
     latest is kept.  An accepted result is kept as its four coordinates
     (ax, ay, bx, by), each the float nearest the exact value, as
     `float(Fraction)` gives it.
+
+    `clip_exact` is the `exact_clip` the caller sees, and part of the cache
+    key.  For this module's own `exact_clip` the integer ratios of
+    `_exact_ratios` are divided straight to floats (`int / int` rounds
+    correctly, so the result is bit for bit `float(Fraction)`) and no
+    Fraction is built.  Any other callable (a test's spy, a tracing
+    wrapper) is called once per segment, in order.
     Cyclic GC is paused while they are built."""
     with gc_paused():
         segments = gen_segments(spec)
         exacts = []
         append = exacts.append
-        for s in segments:
-            r = exact_clip(s, w)
-            if r is not None:
-                (ax, ay), (bx, by) = r
-                r = (ax.numerator / ax.denominator,
-                     ay.numerator / ay.denominator,
-                     bx.numerator / bx.denominator,
-                     by.numerator / by.denominator)
-            append(r)
+        if clip_exact is _EXACT_CLIP:
+            ratios = _exact_ratios
+            for s in segments:
+                r = ratios(s, w)
+                if r is not None:
+                    ax, ay, ad, bx, by, bd = r
+                    r = (ax / ad, ay / ad, bx / bd, by / bd)
+                append(r)
+        else:
+            for s in segments:
+                r = clip_exact(s, w)
+                if r is not None:
+                    (ax, ay), (bx, by) = r
+                    r = (ax.numerator / ax.denominator,
+                         ay.numerator / ay.denominator,
+                         bx.numerator / bx.denominator,
+                         by.numerator / by.denominator)
+                append(r)
     return segments, exacts
 
 
@@ -201,15 +236,18 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
     Coordinates are compared with absolute allowance
     tolerance * max(1, window extent); accept/reject decisions must agree
     exactly.  Raises UnknownClipperError for an unknown id and ValueError
-    unless the tolerance is finite and >= 0.
+    unless the window and the spec's region are valid windows and the
+    tolerance is finite and >= 0.
     """
     clip = get_clipper(clipper)
     validate_window(w)
+    # a default region can overflow where the window does not
+    validate_window(spec.region)
     if not 0.0 <= tolerance < math.inf:  # also false for NaN
         raise ValueError(
             f"tolerance must be finite and >= 0: {tolerance!r}")
     abs_tol = tolerance * max(1.0, w.extent())
-    segments, exacts = _corpus_with_oracle(spec, w)
+    segments, exacts = _corpus_with_oracle(spec, w, exact_clip)
     report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
                                cases_run=len(segments))
     # the clip results are compared and freed before GC resumes, so that

@@ -369,6 +369,17 @@ def test_verify_mismatch_exits_2_and_writes_failures(tmp_path, capsys,
     assert len(failures.read_text().splitlines()) > 0
 
 
+def test_verify_failures_file_is_rewritten_when_clean(tmp_path, capsys):
+    # an earlier run's failing inputs must not survive a clean run
+    failures = tmp_path / "bad.txt"
+    failures.write_text("1 2 3 4\n")
+    assert run_cli("verify", "--count", "200", "--failures",
+                   str(failures)) == 0
+    assert capsys.readouterr().out.endswith(
+        f"wrote 0 failing inputs to {failures}\n")
+    assert failures.read_text() == ""
+
+
 def test_verify_unwritable_report(tmp_path, capsys):
     report = tmp_path / "missing-dir" / "r.txt"
     assert run_cli("verify", "--count", "10", "--report", str(report)) == 1
@@ -427,6 +438,10 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
     pytest.param("verify --count 20 --algo _always_reject "
                  "--failures {tmp}/missing-dir/out", _NO_DIR,
                  _always_reject, id="failures-unwritable"),
+    pytest.param("verify --count 10 --window 0,0,1e308,1e308",
+                 "window bounds must be finite: Window(x_left=-inf, "
+                 "x_right=inf, y_bottom=-inf, y_top=inf)", None,
+                 id="verify-region-overflows"),
     pytest.param("verify --count 10 --tolerance nan",
                  "tolerance must be finite and >= 0: nan", None,
                  id="nan-tolerance"),

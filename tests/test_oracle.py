@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from segclip import (Counters, EquivalenceReport, GeneratorSpec, Point,
-                     Segment, UnknownClipperError, Window, check_equivalence,
-                     default_region, exact_clip, gen_segments)
+from segclip import (Counters, EquivalenceReport, GeneratorSpec,
+                     NonFiniteError, Point, Segment, UnknownClipperError,
+                     Window, check_equivalence, default_region, exact_clip,
+                     gen_segments)
 import segclip.baselines as baselines
 import segclip.oracle as oracle
 from segclip.quadclip import clip_endpoint, clip_segment
@@ -322,6 +323,50 @@ def test_check_equivalence_keeps_only_the_latest_corpus(monkeypatch):
         assert check_equivalence("quadclip", spec, W).ok
     assert calls == (gen_segments(first) + gen_segments(second)
                      + gen_segments(first))
+
+
+@pytest.mark.parametrize("w", [
+    W,
+    Window(0.0, 1.0, 0.0, 1.0),
+    Window(0.0, 1e160, 0.0, 1e160),
+    Window(0.0, 1e-300, 0.0, 1e-300),
+    Window(1e8, 1e8 + 10.0, 1e8, 1e8 + 10.0),
+    Window(Fraction(1, 3), 7, 0, Fraction(22, 7)),  # non-dyadic bounds
+])
+def test_check_equivalence_oracle_paths_agree(monkeypatch, w):
+    # the module's own exact_clip takes the integer-ratio path; any other
+    # callable, here a pass-through spy, is called once per segment
+    spec = GeneratorSpec(seed=90_021, count=3_000, region=default_region(w))
+    clippers = ("quadclip", "cs", "lb")
+    direct = [check_equivalence(cid, spec, w) for cid in clippers]
+    calls = _count_exact_clips(monkeypatch)
+    per_call = [check_equivalence(cid, spec, w) for cid in clippers]
+    assert calls == gen_segments(spec)
+    for a, b in zip(direct, per_call):
+        # every field, failures included, and the summary line
+        assert a == b and a.summary() == b.summary(), a.clipper
+
+
+def test_check_equivalence_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(oracle, "Fraction", no_fraction)
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        exact_clip(Segment(Point(-5.0, 5.0), Point(5.0, 5.0)), W)
+    # a seed no other test uses, so the corpus is built, not cached
+    spec = GeneratorSpec(seed=90_031, count=5_000)
+    for cid in ("quadclip", "cs", "lb"):
+        assert check_equivalence(cid, spec, W).ok
+
+
+def test_check_equivalence_rejects_a_region_that_is_not_finite():
+    # the default region, 3x the window's extent, overflows to +-inf here
+    w = Window(0.0, 1e308, 0.0, 1e308)
+    spec = GeneratorSpec(seed=1, count=10, region=default_region(w))
+    with pytest.raises(NonFiniteError,
+                       match="window bounds must be finite: Window"):
+        check_equivalence("quadclip", spec, w)
 
 
 def test_check_equivalence_starts_no_collection():
