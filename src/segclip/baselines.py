@@ -103,9 +103,8 @@ def cs_clip_segments(segments, w: Window,
             append(new(Segment, (new(Point, (x1, y1)), new(Point, (x2, y2)))))
 
     counters.predicate_evals += pe
-    if ic:
-        counters.divisions += ic
-        counters.intersections_computed += ic
+    counters.divisions += ic
+    counters.intersections_computed += ic
     return out
 
 
@@ -165,10 +164,8 @@ def lb_clip_segments(segments, w: Window,
         append(new(Segment, (a, b)))
 
     counters.predicate_evals += pe
-    if dv:
-        counters.divisions += dv
-    if ic:
-        counters.intersections_computed += ic
+    counters.divisions += dv
+    counters.intersections_computed += ic
     return out
 
 

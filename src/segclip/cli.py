@@ -10,6 +10,7 @@ Each command imports the modules that only it needs (`svg`, `bench`,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .baselines import CLIPPERS, UnknownClipperError, clip_many, get_clipper
@@ -100,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--region", type=_window_arg, default=None,
                           metavar="XL,YB,XR,YT",
                           help="sampling region (default: 3x window extent)")
-    p_verify.add_argument("--report", default=None,
-                          help="also write the summary to this file")
     p_verify.add_argument("--failures", default=None,
                           help="write failing inputs to this segment file "
                                "(empty when there are none)")
@@ -175,13 +174,17 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         raise _Failure(exc)
     # an unwritable path fails before the suite runs; appending nothing
-    # keeps the previous CSV should the suite fail
+    # keeps the previous CSV should the suite fail, and a file the probe
+    # created is removed again
+    existed = os.path.exists(args.output)
     _write(args.output, _write_text, "", "a")
     try:
         rows = bench.run_suite(config)
     # ValueError: an output coordinate the checksum rejects;
     # RuntimeError: clippers whose checksums disagree
     except (ValueError, RuntimeError) as exc:
+        if not existed:
+            os.remove(args.output)
         raise _Failure(exc)
     _write(args.output, _write_text, bench.rows_to_csv(rows))
     print(bench.format_table(rows))
@@ -199,10 +202,7 @@ def cmd_verify(args) -> int:
     # is not finite: the default one, 3x the window's extent, can overflow
     except ValueError as exc:
         raise _Failure(exc)
-    summary = report.summary()
-    print(summary)
-    if args.report:
-        _write(args.report, _write_text, summary + "\n")
+    print(report.summary())
     if args.failures:
         # written even when empty, so no earlier run's inputs remain
         _write(args.failures, write_segments, report.failures)

@@ -142,23 +142,21 @@ def segment_line(s: Segment) -> str:
             f"{format_coord(x2)} {format_coord(y2)}")
 
 
-def _parse_real(token: str, line_number: int) -> float:
-    try:
-        v = float(token)
-    except ValueError:
-        raise SegmentFormatError(line_number, f"not a number: {token!r}") from None
-    if not math.isfinite(v):
-        raise SegmentFormatError(line_number, f"coordinate must be finite: {token!r}")
-    return v
-
-
-def _parse_line(tokens: list[str], line_number: int) -> tuple[float, ...]:
-    """The four coordinates of one line's tokens, or SegmentFormatError for
-    its first fault: the arity, then each token in column order."""
+def _line_error(tokens: list[str], line_number: int) -> SegmentFormatError:
+    """The SegmentFormatError for the first fault of a line that the fast
+    path of `parse_segments` refused: the arity, then each token in column
+    order."""
     if len(tokens) != 4:
-        raise SegmentFormatError(
+        return SegmentFormatError(
             line_number, f"expected 4 coordinates, got {len(tokens)}")
-    return tuple(_parse_real(t, line_number) for t in tokens)
+    for token in tokens:
+        try:
+            v = float(token)
+        except ValueError:
+            return SegmentFormatError(line_number, f"not a number: {token!r}")
+        if not math.isfinite(v):
+            return SegmentFormatError(
+                line_number, f"coordinate must be finite: {token!r}")
 
 
 def parse_segments(lines: Iterable[str]) -> list[Segment]:
@@ -175,11 +173,10 @@ def parse_segments(lines: Iterable[str]) -> list[Segment]:
             x1, y1, x2, y2 = map(float, tokens)
         except ValueError:  # wrong arity or a token that is not a number
             x1 = y1 = x2 = y2 = math.nan
-        # v * 0.0 is a zero for finite v and NaN for NaN or an infinity.  A
-        # line failing either check goes through _parse_line, which raises
-        # the error for its first fault.
+        # v * 0.0 is a zero for finite v and NaN for NaN or an infinity, so
+        # this refuses every line with a fault, and only such lines
         if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
-            x1, y1, x2, y2 = _parse_line(tokens, line_number)
+            raise _line_error(tokens, line_number)
         append(new(Segment, (new(Point, (x1, y1)), new(Point, (x2, y2)))))
     return segments
 

@@ -191,29 +191,28 @@ def _corpus_with_oracle(spec: GeneratorSpec, w: Window, clip_exact):
     correctly, so the result is bit for bit `float(Fraction)`) and no
     Fraction is built.  Any other callable (a test's spy, a tracing
     wrapper) is called once per segment, in order.
-    Cyclic GC is paused while they are built."""
-    with gc_paused():
-        segments = gen_segments(spec)
-        exacts = []
-        append = exacts.append
-        if clip_exact is _EXACT_CLIP:
-            ratios = _exact_ratios
-            for s in segments:
-                r = ratios(s, w)
-                if r is not None:
-                    ax, ay, ad, bx, by, bd = r
-                    r = (ax / ad, ay / ad, bx / bd, by / bd)
-                append(r)
-        else:
-            for s in segments:
-                r = clip_exact(s, w)
-                if r is not None:
-                    (ax, ay), (bx, by) = r
-                    r = (ax.numerator / ax.denominator,
-                         ay.numerator / ay.denominator,
-                         bx.numerator / bx.denominator,
-                         by.numerator / by.denominator)
-                append(r)
+    Its caller, `check_equivalence`, pauses cyclic GC around the build."""
+    segments = gen_segments(spec)
+    exacts = []
+    append = exacts.append
+    if clip_exact is _EXACT_CLIP:
+        ratios = _exact_ratios
+        for s in segments:
+            r = ratios(s, w)
+            if r is not None:
+                ax, ay, ad, bx, by, bd = r
+                r = (ax / ad, ay / ad, bx / bd, by / bd)
+            append(r)
+    else:
+        for s in segments:
+            r = clip_exact(s, w)
+            if r is not None:
+                (ax, ay), (bx, by) = r
+                r = (ax.numerator / ax.denominator,
+                     ay.numerator / ay.denominator,
+                     bx.numerator / bx.denominator,
+                     by.numerator / by.denominator)
+            append(r)
     return segments, exacts
 
 
@@ -247,12 +246,13 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
         raise ValueError(
             f"tolerance must be finite and >= 0: {tolerance!r}")
     abs_tol = tolerance * max(1.0, w.extent())
-    segments, exacts = _corpus_with_oracle(spec, w, exact_clip)
-    report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
-                               cases_run=len(segments))
-    # the clip results are compared and freed before GC resumes, so that
-    # no collection rescans them
+    # one pause covers the corpus build, the clipping and the comparison;
+    # the clip results are freed before GC resumes, so that no collection
+    # rescans them
     with gc_paused():
+        segments, exacts = _corpus_with_oracle(spec, w, exact_clip)
+        report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
+                                   cases_run=len(segments))
         outs = clip_many(clip, segments, w, Counters())
         for s, out, exact in zip(segments, outs, exacts):
             if (out is None) != (exact is None):

@@ -240,11 +240,9 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
             # the role swap ran twice, so (ax, ay) is endpoint A again
             append(new(Segment, (new(Point, (ax, ay)), new(Point, (bx, by)))))
 
-    if pe:
-        counters.predicate_evals += pe
-        if ic:  # every division follows a predicate
-            counters.divisions += ic
-            counters.intersections_computed += ic
+    counters.predicate_evals += pe
+    counters.divisions += ic
+    counters.intersections_computed += ic
     return out
 
 

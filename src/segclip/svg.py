@@ -9,7 +9,7 @@ by 10%.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .geom import Segment, Window, format_coord
 

@@ -5,7 +5,7 @@ from segclip import (CLIPPERS, Counters, GeneratorSpec, Point, Segment,
                      UnknownClipperError, clip_many, cs_clip, default_region,
                      exact_clip, gen_segments, get_clipper, lb_clip)
 from segclip.baselines import cs_clip_segments, lb_clip_segments
-from segclip.quadclip import clip_segment
+from segclip.quadclip import clip_segment, clip_segments
 
 from _strategies import (CORPUS_WINDOWS, WINDOW,
                          assert_batch_equals_one_at_a_time,
@@ -83,10 +83,11 @@ def test_lb_divisions_beyond_true_intersections():
 # --- differential properties ------------------------------------------------
 
 
-@pytest.mark.parametrize("clip", [cs_clip, lb_clip])
+@pytest.mark.parametrize("clip", list(CLIPPERS.values()))
 @given(s=grid_segments(), w=grid_windows())
-@settings(max_examples=200)
+@settings(max_examples=300)
 def test_baselines_match_exact_oracle_on_grid(clip, s, w):
+    # every registered clipper, quadclip as well as the baselines
     assume(not oblique_corner_collinear(s, w))
     out = clip(s, w, Counters())
     exact = exact_clip(s, w)
@@ -140,16 +141,21 @@ def test_exact_counts_on_corpus(cid, accepted, counts):
 # --- batch kernels and clip_many ----------------------------------------------
 
 
-BATCH_KERNELS = [cs_clip_segments, lb_clip_segments]
+BATCH_KERNELS = {"quadclip": clip_segments, "cs": cs_clip_segments,
+                 "lb": lb_clip_segments}
 
 
-@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+def test_every_clipper_has_a_batch_kernel():
+    assert list(BATCH_KERNELS) == list(CLIPPERS)
+
+
+@pytest.mark.parametrize("kernel", list(BATCH_KERNELS.values()))
 @given(segments=corpus_segments(), w=grid_windows())
 def test_batch_kernels_equal_one_at_a_time(kernel, segments, w):
     assert_batch_equals_one_at_a_time(kernel, segments, w)
 
 
-@pytest.mark.parametrize("kernel", BATCH_KERNELS)
+@pytest.mark.parametrize("kernel", list(BATCH_KERNELS.values()))
 @pytest.mark.parametrize("w", CORPUS_WINDOWS)
 def test_batch_kernels_equal_one_at_a_time_on_corpus(kernel, w):
     segments = gen_segments(GeneratorSpec(1, 20_000, default_region(w)))

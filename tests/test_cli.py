@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from segclip import (BenchRow, GeneratorSpec, Segment, Point, Window,
-                     exact_clip, gen_segments, write_segments)
+from segclip import (BenchRow, GeneratorSpec, Segment, Point, exact_clip,
+                     gen_segments, write_segments)
 import segclip.baselines as baselines
 import segclip.bench as bench
 import segclip.cli as cli
@@ -282,18 +282,23 @@ def test_bench_non_finite_output_is_one_error_line(tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("fake_clipper", [
-    pytest.param(_overflowing_clip, id="non-finite-checksum"),
-    pytest.param(_constant_segment, id="clippers-disagree"),
+@pytest.mark.parametrize("fake_clipper, previous", [
+    pytest.param(_overflowing_clip, "previous run\n", id="non-finite-checksum"),
+    pytest.param(_constant_segment, "previous run\n", id="clippers-disagree"),
+    pytest.param(_overflowing_clip, None, id="no-previous-file"),
 ])
 def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch,
-                                             fake_clipper):
+                                             fake_clipper, previous):
     monkeypatch.setitem(baselines.CLIPPERS, "_fake", fake_clipper)
     dst = tmp_path / "b.csv"
-    dst.write_text("previous run\n")
+    if previous is not None:
+        dst.write_text(previous)
     assert run_cli("bench", "-o", str(dst), "--sizes", "10",
                    "--iterations", "1") == 1
-    assert dst.read_text() == "previous run\n"
+    if previous is None:
+        assert not dst.exists()
+    else:
+        assert dst.read_text() == previous
 
 
 def test_bench_huge_window_never_ends_in_a_traceback(tmp_path, capsys):
@@ -320,15 +325,14 @@ def test_bench_rejects_bad_sizes(tmp_path, capsys):
 # --- verify -------------------------------------------------------------------
 
 
-def test_verify_clean_run(tmp_path, capsys):
-    report = tmp_path / "report.txt"
+def test_verify_clean_run(capsys):
     code = run_cli("verify", "--algo", "quadclip", "--seed", "7",
-                   "--count", "2000", "--window", WINDOW_ARG,
-                   "--report", str(report))
+                   "--count", "2000", "--window", WINDOW_ARG)
     assert code == 0
     out = capsys.readouterr().out
-    assert "0 decision mismatches" in out
-    assert report.read_text().strip().endswith(out.strip().splitlines()[-1])
+    assert out.startswith("verify quadclip: OK -- 2000 cases, "
+                          "0 decision mismatches, 0 coordinate mismatches ")
+    assert out.count("\n") == 1
 
 
 def test_verify_zero_count(tmp_path, capsys):
@@ -380,14 +384,6 @@ def test_verify_failures_file_is_rewritten_when_clean(tmp_path, capsys):
     assert failures.read_text() == ""
 
 
-def test_verify_unwritable_report(tmp_path, capsys):
-    report = tmp_path / "missing-dir" / "r.txt"
-    assert run_cli("verify", "--count", "10", "--report", str(report)) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"segclip: cannot write {report}: ")
-    assert "verify quadclip: OK" in captured.out
-
-
 def test_verify_unwritable_failures(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(baselines.CLIPPERS, "_always_reject", _always_reject)
     failures = tmp_path / "missing-dir" / "f.txt"
@@ -433,8 +429,6 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
                  None, id="render-unwritable"),
     pytest.param("bench -o {tmp}/missing-dir/out --sizes 10 --iterations 1",
                  _NO_DIR, None, id="bench-unwritable"),
-    pytest.param("verify --count 10 --report {tmp}/missing-dir/out", _NO_DIR,
-                 None, id="report-unwritable"),
     pytest.param("verify --count 20 --algo _always_reject "
                  "--failures {tmp}/missing-dir/out", _NO_DIR,
                  _always_reject, id="failures-unwritable"),
@@ -497,6 +491,20 @@ def test_bench_paper_scale_flag_is_gone(tmp_path, capsys):
                    "--paper-scale") == 1
     assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("bench", "-o", "b.csv", "--sizes", "10,x"),
+                 "argument --sizes: expected comma-separated integers: '10,x'",
+                 id="sizes"),
+    pytest.param(("verify", "--count", "abc"),
+                 "argument --count: expected an integer: 'abc'", id="count"),
+])
+def test_non_integer_argument_is_a_usage_error(capsys, argv, message):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: {message}\n")
 
 
 def test_window_argument_validation(capsys):

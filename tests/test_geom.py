@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from segclip import (DegenerateWindowError, NonFiniteError, Point, Segment,
-                     SegmentFormatError, Window, parse_segments,
+from segclip import (Counters, DegenerateWindowError, NonFiniteError, Point,
+                     Segment, SegmentFormatError, Window, parse_segments,
                      read_segments, validate_window, write_segments)
 from segclip.geom import format_coord, gc_paused, segment_line
 
@@ -202,3 +202,12 @@ def test_gc_paused_restores_state_and_starts_no_collection(gc_enabled):
         (gc.enable if was_enabled else gc.disable)()
     assert state is gc_enabled
     assert collections == 0 and len(kept) == 10_000
+
+
+# --- Counters -------------------------------------------------------------------
+
+
+def test_counters_equal_only_counters_and_repr_every_count():
+    assert Counters() != object()
+    assert repr(Counters()) == ("Counters(divisions=0, intersections_computed=0,"
+                                " predicate_evals=0)")

@@ -1,19 +1,13 @@
 import math
 
-import pytest
-from hypothesis import given, assume, settings
-import hypothesis.strategies as st
+from hypothesis import given, assume
 
-from segclip import (Counters, GeneratorSpec, Point, Segment, Window,
-                     default_region, exact_clip, gen_segments)
-from segclip.quadclip import (EndpointOutcome, clip_endpoint, clip_segment,
-                              clip_segments)
+from segclip import Counters, GeneratorSpec, Point, Segment, gen_segments
+from segclip.quadclip import EndpointOutcome, clip_endpoint, clip_segment
 
 from _reference import (corners, frac_clip, frac_orientation,
                         quad_orientation, window_contains)
-from _strategies import (CORPUS_WINDOWS, WINDOW,
-                         assert_batch_equals_one_at_a_time,
-                         corpus_segments, grid_segments, grid_windows,
+from _strategies import (WINDOW, grid_segments, grid_windows,
                          inside_segments, oblique_corner_collinear)
 
 W = WINDOW
@@ -118,20 +112,6 @@ def test_clip_rejected_by_second_call():
     assert frac_clip(((-2, 9), (1, 14)), (0, 10, 0, 10)) is None
 
 
-# --- the batch kernel ---------------------------------------------------------
-
-
-@given(corpus_segments(), grid_windows())
-def test_batch_kernel_equals_one_at_a_time(segments, w):
-    assert_batch_equals_one_at_a_time(clip_segments, segments, w)
-
-
-@pytest.mark.parametrize("w", CORPUS_WINDOWS)
-def test_batch_kernel_equals_one_at_a_time_on_corpus(w):
-    segments = gen_segments(GeneratorSpec(1, 20_000, default_region(w)))
-    assert_batch_equals_one_at_a_time(clip_segments, segments, w)
-
-
 # --- properties on the exact grid -------------------------------------------
 
 
@@ -150,20 +130,6 @@ def test_inlined_segment_clip_equals_two_calls(s):
     c1, c2 = Counters(), Counters()
     assert clip_segment(s, W, c1) == _two_call(s, W, c2)
     assert c1 == c2
-
-
-@given(grid_segments(), grid_windows())
-@settings(max_examples=300)
-def test_decision_matches_exact_oracle_on_grid(s, w):
-    assume(not oblique_corner_collinear(s, w))
-    c = Counters()
-    out = clip_segment(s, w, c)
-    exact = exact_clip(s, w)
-    assert (out is None) == (exact is None)
-    if out is not None:
-        tol = 1e-9 * max(1.0, w.extent())
-        for got, want in zip((*out.a, *out.b), (*exact.a, *exact.b)):
-            assert abs(got - float(want)) <= tol
 
 
 @given(grid_segments(), grid_windows())
@@ -254,8 +220,6 @@ def test_degenerate_point_segments():
 
 
 def test_seeded_corpus_spot_invariants():
-    from segclip import GeneratorSpec, gen_segments
-
     segs = gen_segments(GeneratorSpec(seed=3, count=20_000))
     c = Counters()
     prev_div = prev_isec = 0
