@@ -14,8 +14,9 @@ import os
 import sys
 
 from .baselines import CLIPPERS, UnknownClipperError, clip_many, get_clipper
-from .geom import (DEFAULT_WINDOW, Counters, SegmentFormatError, Window,
-                   gc_paused, read_segments, validate_window, write_segments)
+from .geom import (DEFAULT_WINDOW, Counters, NonFiniteError,
+                   SegmentFormatError, Window, gc_paused, read_segments,
+                   validate_window, write_segments)
 
 USAGE_ERROR = 1
 VERIFY_MISMATCH = 2
@@ -155,8 +156,13 @@ def cmd_clip(args) -> int:
 
 def cmd_render(args) -> int:
     from .svg import render_svg
-    read, clipped = _clip_file(args, lambda path, segments, clipped: (
-        _write_text(path, render_svg(segments, clipped, args.window))))
+    try:
+        read, clipped = _clip_file(args, lambda path, segments, clipped: (
+            _write_text(path, render_svg(segments, clipped, args.window))))
+    # a viewport too wide or tall for floats; the SVG is built before
+    # the output file is opened, so none is written
+    except NonFiniteError as exc:
+        raise _Failure(exc)
     print(f"rendered {read} segments ({clipped} clipped) to {args.output}")
     return 0
 

@@ -3,10 +3,10 @@
 `exact_clip` intersects the parametric segment with the window's four closed
 half-planes using integer arithmetic over the lcm of all coordinate
 denominators (every finite double is a rational with a power-of-two
-denominator, so the conversion is lossless) and reports the
-clipped endpoints as `fractions.Fraction` values.  No rounding happens
-anywhere, which makes it a trustworthy referee for the floating-point
-clippers: `check_equivalence` replays a seeded corpus through a clipper
+denominator, so the conversion is lossless).  The decision is exact, and
+each moved endpoint coordinate is rounded once, to the nearest float, which
+makes it a trustworthy referee for the floating-point clippers:
+`check_equivalence` replays a seeded corpus through a clipper
 and the oracle and reports any disagreement.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -78,17 +77,23 @@ def _window_ratios(w: Window) -> tuple[int, int, int, int, int]:
     return (d, *(n * (d // q) for n, q in ratios))
 
 
-def _exact_ratios(s: Segment, w: Window) -> Optional[tuple[int, ...]]:
-    """The decision and arithmetic behind `exact_clip`: None when the
-    parametric interval is empty, otherwise the clipped endpoints as six
-    integers (ax, ay, ad, bx, by, bd), a = (ax/ad, ay/ad) and
-    b = (bx/bd, by/bd), with ad, bd > 0 and no fraction reduced.
+def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
+    """Mathematically exact closed-window clipping, rounded once to floats.
+
+    Accepts float, int or Fraction coordinates.  Returns None when the
+    parametric interval is empty.  Otherwise each endpoint the interval
+    keeps (t = 0 or t = 1) is the input's own Point, and a segment wholly
+    inside is returned as is; a moved endpoint's coordinates are the
+    floats nearest the exact values (`int / int` rounds correctly, so each
+    is bit for bit `float(Fraction)`).  A single-point overlap yields a
+    degenerate a == b result.
 
     A segment with both endpoints strictly beyond the same boundary is
     rejected by comparing coordinates, which Python does exactly across
     float, int and Fraction (so such a segment is rejected even with an
-    infinite coordinate); every other segment is converted to integers,
-    and a non-finite coordinate there raises.
+    infinite coordinate); every other segment is converted to integers
+    over the lcm of all denominators, and a non-finite coordinate there
+    raises.
     """
     (x1, y1), (x2, y2) = s
     xl, xr, yb, yt = w
@@ -107,7 +112,8 @@ def _exact_ratios(s: Segment, w: Window) -> Optional[tuple[int, ...]]:
     Y1 = n2 * (scale // d2)
     dx = n3 * (scale // d3) - X1
     dy = n4 * (scale // d4) - Y1
-    # Clipped parameter range [lo, hi] as integer fractions, denominators > 0.
+    # Clipped parameter range [lo, hi] as integer fractions, denominators > 0;
+    # lo only ever rises above 0 and hi only ever falls below 1.
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 1
     for p, q in ((-dx, X1 - XL), (dx, XR - X1), (-dy, Y1 - YB), (dy, YT - Y1)):
@@ -124,31 +130,19 @@ def _exact_ratios(s: Segment, w: Window) -> Optional[tuple[int, ...]]:
                 hi_n, hi_d = n, d
     if lo_n * hi_d > hi_n * lo_d:
         return None
-    return (X1 * lo_d + dx * lo_n, Y1 * lo_d + dy * lo_n, scale * lo_d,
-            X1 * hi_d + dx * hi_n, Y1 * hi_d + dy * hi_n, scale * hi_d)
-
-
-def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
-    """Mathematically exact closed-window clipping.
-
-    Accepts float, int or Fraction coordinates.  Returns None when the
-    parametric interval is empty, otherwise a Segment of Fraction
-    coordinates; a single-point overlap yields a degenerate a == b result.
-    A segment with both endpoints strictly beyond the same boundary is
-    rejected without converting its coordinates, even when one is
-    infinite; for every other segment a non-finite coordinate raises.
-    The decision and the integer arithmetic are `_exact_ratios`'s; this
-    wrapper only reduces its endpoints to Fractions.
-    """
-    r = _exact_ratios(s, w)
-    if r is None:
-        return None
-    ax, ay, ad, bx, by, bd = r
-    return Segment(Point(Fraction(ax, ad), Fraction(ay, ad)),
-                   Point(Fraction(bx, bd), Fraction(by, bd)))
-
-
-_EXACT_CLIP = exact_clip  # the module's own oracle, whatever replaces the name
+    if lo_n == 0 and hi_n == hi_d:
+        return s
+    new = tuple.__new__  # skips the named tuples' own __new__
+    a, b = s
+    if lo_n:
+        d = scale * lo_d
+        a = new(Point, ((X1 * lo_d + dx * lo_n) / d,
+                        (Y1 * lo_d + dy * lo_n) / d))
+    if hi_n != hi_d:
+        d = scale * hi_d
+        b = new(Point, ((X1 * hi_d + dx * hi_n) / d,
+                        (Y1 * hi_d + dy * hi_n) / d))
+    return new(Segment, (a, b))
 
 
 @dataclass
@@ -181,49 +175,20 @@ def _corpus_with_oracle(spec: GeneratorSpec, w: Window, clip_exact):
     """Corpus plus per-segment exact results, cached so that checking several
     clippers against the same corpus prices the oracle only once.  Callers
     check all their clippers on one corpus before the next, so only the
-    latest is kept.  An accepted result is kept as its four coordinates
-    (ax, ay, bx, by), each the float nearest the exact value, as
-    `float(Fraction)` gives it.
-
-    `clip_exact` is the `exact_clip` the caller sees, and part of the cache
-    key.  For this module's own `exact_clip` the integer ratios of
-    `_exact_ratios` are divided straight to floats (`int / int` rounds
-    correctly, so the result is bit for bit `float(Fraction)`) and no
-    Fraction is built.  Any other callable (a test's spy, a tracing
-    wrapper) is called once per segment, in order.
-    Its caller, `check_equivalence`, pauses cyclic GC around the build."""
+    latest is kept.  `clip_exact` is the `exact_clip` the caller sees (this
+    module's own, a test's spy or a tracing wrapper), called once per
+    segment in order, and part of the cache key.  Its caller,
+    `check_equivalence`, pauses cyclic GC around the build."""
     segments = gen_segments(spec)
-    exacts = []
-    append = exacts.append
-    if clip_exact is _EXACT_CLIP:
-        ratios = _exact_ratios
-        for s in segments:
-            r = ratios(s, w)
-            if r is not None:
-                ax, ay, ad, bx, by, bd = r
-                r = (ax / ad, ay / ad, bx / bd, by / bd)
-            append(r)
-    else:
-        for s in segments:
-            r = clip_exact(s, w)
-            if r is not None:
-                (ax, ay), (bx, by) = r
-                r = (ax.numerator / ax.denominator,
-                     ay.numerator / ay.denominator,
-                     bx.numerator / bx.denominator,
-                     by.numerator / by.denominator)
-            append(r)
-    return segments, exacts
+    return segments, [clip_exact(s, w) for s in segments]
 
 
-def _point_set_error(out: Segment, exact: tuple[float, ...]) -> float:
-    """Largest coordinate deviation of `out` from the exact endpoints
-    (ax, ay, bx, by), endpoint order ignored."""
+def _point_set_error(out: Segment, exact: Segment) -> float:
+    """Largest coordinate deviation of `out` from the exact endpoints,
+    endpoint order ignored."""
     (oax, oay), (obx, oby) = out
-    eax, eay, ebx, eby = exact
+    (eax, eay), (ebx, eby) = exact
     direct = max(abs(oax - eax), abs(oay - eay), abs(obx - ebx), abs(oby - eby))
-    if direct == 0.0:
-        return 0.0
     swapped = max(abs(oax - ebx), abs(oay - eby), abs(obx - eax), abs(oby - eay))
     return min(direct, swapped)
 
@@ -255,11 +220,11 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
                                    cases_run=len(segments))
         outs = clip_many(clip, segments, w, Counters())
         for s, out, exact in zip(segments, outs, exacts):
-            if (out is None) != (exact is None):
+            if out == exact:  # both None, or the same points in order
+                continue
+            if out is None or exact is None:
                 report.decision_mismatches += 1
                 report.failures.append(s)
-                continue
-            if out is None:
                 continue
             err = _point_set_error(out, exact)
             if err > report.max_coordinate_error:

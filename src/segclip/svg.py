@@ -9,9 +9,10 @@ by 10%.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
-from .geom import Segment, Window, format_coord
+from .geom import NonFiniteError, Segment, Window, format_coord
 
 PAD_FRACTION = 0.10
 PX_WIDTH = 800
@@ -40,11 +41,17 @@ def _lines(segments: Iterable[Segment], stroke: str, stroke_width: str) -> list[
 
 def render_svg(inputs: list[Segment], clipped: list[Segment], window: Window) -> str:
     """SVG 1.1 document for one clipping run (clipped segments drawn above
-    the inputs, window outline on top)."""
+    the inputs, window outline on top).  Raises NonFiniteError when the
+    padded viewport's width or height overflows."""
     vp = _viewport(inputs, window)
     vw = vp.x_right - vp.x_left
     vh = vp.y_top - vp.y_bottom
-    px_height = max(1, round(PX_WIDTH * vh / vw))
+    if not (math.isfinite(vw) and math.isfinite(vh)):
+        raise NonFiniteError(
+            f"cannot render: padded viewport width and height must be "
+            f"finite: {vw!r} by {vh!r}")
+    # the ratio first: PX_WIDTH * vh can overflow where vh / vw does not
+    px_height = max(1, round(PX_WIDTH * (vh / vw)))
     stroke = format_coord(max(vw, vh) / 300.0)
     flip = format_coord(vp.y_bottom + vp.y_top)
     parts = [

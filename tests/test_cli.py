@@ -223,6 +223,21 @@ def test_render_has_y_flip(tmp_path):
     assert 'scale(1 -1)' in svg.read_text()
 
 
+def test_render_at_the_largest_finite_extent(tmp_path):
+    # 800 times the viewport's height overflows here; their ratio does not
+    src = tmp_path / "in.txt"
+    src.write_text("0 0 1 1\n")
+    svg = tmp_path / "out.svg"
+    assert run_cli("render", str(src), "-o", str(svg),
+                   "--window=0,0,1e308,1e308") == 0
+    assert 'width="800" height="800"' in svg.read_text()
+    # a viewport that overflows fails before the output file is opened
+    src.write_text("1e308 1e308 -1e308 -1e308\n")
+    svg.unlink()
+    assert run_cli("render", str(src), "-o", str(svg)) == 1
+    assert not svg.exists()
+
+
 # --- bench --------------------------------------------------------------------
 
 
@@ -454,12 +469,16 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
                  "{{'quadclip': 105.678765, 'cs': 105.678765, "
                  "'lb': 105.678765, '_constant_segment': 100.0}}",
                  _constant_segment, id="clippers-disagree"),
+    pytest.param("render {tmp}/huge.txt -o {tmp}/out",
+                 "cannot render: padded viewport width and height must be "
+                 "finite: inf by inf", None, id="render-viewport-overflows"),
 ])
 def test_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch, argv,
                                     message, fake_clipper):
     (tmp_path / "in.txt").write_text("-5 5 5 5\n")
     (tmp_path / "bad.txt").write_text("abc\n")
     (tmp_path / "latin.txt").write_bytes(b"0 0 1 1\n\xff\xfe 2 3 4\n")
+    (tmp_path / "huge.txt").write_text("1e308 1e308 -1e308 -1e308\n")
     if fake_clipper is not None:
         monkeypatch.setitem(baselines.CLIPPERS, fake_clipper.__name__,
                             fake_clipper)
@@ -507,6 +526,18 @@ def test_non_integer_argument_is_a_usage_error(capsys, argv, message):
     assert captured.err.endswith(f": error: {message}\n")
 
 
-def test_window_argument_validation(capsys):
+def test_window_argument_validation(tmp_path, capsys):
     assert run_cli("verify", "--count", "1", "--window", "0,0,10") == 1
     assert run_cli("verify", "--count", "1", "--window", "a,b,c,d") == 1
+    # argparse reads a value that starts with "-" as an option, so a
+    # negative first bound needs the --window=... form
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("-10 0 10 0\n")
+    capsys.readouterr()
+    assert run_cli("clip", str(src), "-o", str(dst),
+                   "--window", "-5,-5,5,5") == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --window: expected one argument\n")
+    assert run_cli("clip", str(src), "-o", str(dst),
+                   "--window=-5,-5,5,5") == 0
+    assert dst.read_text() == "-5 0 5 0\n"
