@@ -50,17 +50,18 @@ class BenchConfig:
     iterations: int = 10
     seed: int = 1
     window: Window = DEFAULT_WINDOW
-    region: Window | None = None  # None: default_region(window)
+
+    @property
+    def region(self) -> Window:
+        """The sampling region, `default_region(window)`."""
+        return default_region(self.window)
 
     def __post_init__(self):
-        """Sample around `window` unless a region is given.  Raise ValueError
-        unless the window and region are valid windows, sizes are positive
-        and ascending and iterations >= 1, so that a bad config fails before
-        any pass runs."""
+        """Raise ValueError unless the window and its sampling region are
+        valid windows, sizes are positive and ascending and iterations >= 1,
+        so that a bad config fails before any pass runs."""
         validate_window(self.window)
-        if self.region is None:
-            object.__setattr__(self, "region", default_region(self.window))
-        validate_window(self.region)
+        validate_window(self.region)  # 3x the window's extent can overflow
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError(f"sizes must be positive: {self.sizes}")
         if list(self.sizes) != sorted(self.sizes):

@@ -86,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--iterations", type=int, default=10,
                          help="measured passes per size (default 10)")
     p_bench.add_argument("--seed", type=int, default=1, help="base seed (default 1)")
-    p_bench.add_argument("--region", type=_window_arg, default=None,
-                         metavar="XL,YB,XR,YT",
-                         help="sampling region (default: 3x window extent)")
     add_common(p_bench, with_algo=False)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -99,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of random segments (default 100000)")
     p_verify.add_argument("--tolerance", type=float, default=1e-9,
                           help="coordinate tolerance (default 1e-9)")
-    p_verify.add_argument("--region", type=_window_arg, default=None,
-                          metavar="XL,YB,XR,YT",
-                          help="sampling region (default: 3x window extent)")
     p_verify.add_argument("--failures", default=None,
                           help="write failing inputs to this segment file "
                                "(empty when there are none)")
@@ -175,23 +169,24 @@ def cmd_bench(args) -> int:
             iterations=args.iterations,
             seed=args.seed,
             window=args.window,
-            region=args.region,
         )
     except ValueError as exc:
         raise _Failure(exc)
     # an unwritable path fails before the suite runs; appending nothing
     # keeps the previous CSV should the suite fail, and a file the probe
-    # created is removed again
+    # created is removed again, after an interrupt too
     existed = os.path.exists(args.output)
     _write(args.output, _write_text, "", "a")
     try:
         rows = bench.run_suite(config)
-    # ValueError: an output coordinate the checksum rejects;
-    # RuntimeError: clippers whose checksums disagree
-    except (ValueError, RuntimeError) as exc:
+    except BaseException as exc:
         if not existed:
             os.remove(args.output)
-        raise _Failure(exc)
+        # ValueError: an output coordinate the checksum rejects;
+        # RuntimeError: clippers whose checksums disagree
+        if isinstance(exc, (ValueError, RuntimeError)):
+            raise _Failure(exc)
+        raise
     _write(args.output, _write_text, bench.rows_to_csv(rows))
     print(bench.format_table(rows))
     print(f"wrote {args.output}")
@@ -200,12 +195,11 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     from .oracle import GeneratorSpec, check_equivalence, default_region
-    spec = GeneratorSpec(seed=args.seed, count=args.count,
-                         region=args.region or default_region(args.window))
+    spec = GeneratorSpec(args.seed, args.count, default_region(args.window))
     try:
         report = check_equivalence(args.algo, spec, args.window, args.tolerance)
     # a tolerance that is NaN, infinite or < 0, or a sampling region that
-    # is not finite: the default one, 3x the window's extent, can overflow
+    # is not finite: 3x the window's extent can overflow
     except ValueError as exc:
         raise _Failure(exc)
     print(report.summary())

@@ -123,9 +123,9 @@ def test_4_singular_cases_exact():
 
 def test_5_benchmark_directional():
     # the differential tests above leave large cached oracle results alive;
-    # timing should start from a clean heap
-    from segclip.oracle import _corpus_with_oracle
-    _corpus_with_oracle.cache_clear()
+    # timing should start from a clean heap, and checking an empty corpus
+    # evicts them, as only the latest corpus is kept
+    check_equivalence("quadclip", GeneratorSpec(seed=1, count=0), WINDOW)
 
     config = BenchConfig(sizes=(CORPUS_SIZE,), iterations=10, seed=1)
     rows = run_suite(config)  # raises if any pass checksums disagree

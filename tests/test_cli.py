@@ -41,39 +41,6 @@ def test_clip_empty_input(tmp_path, capsys):
     assert "read 0 accepted 0 rejected 0" in capsys.readouterr().out
 
 
-def test_clip_malformed_line_names_line_number(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    src.write_text("abc\n")
-    code = run_cli("clip", str(src), "-o", str(tmp_path / "out.txt"),
-                   "--window", WINDOW_ARG)
-    assert code == 1
-    assert "line 1" in capsys.readouterr().err
-
-
-def test_clip_missing_input(tmp_path, capsys):
-    code = run_cli("clip", str(tmp_path / "absent.txt"),
-                   "-o", str(tmp_path / "out.txt"))
-    assert code == 1
-    assert "cannot read" in capsys.readouterr().err
-
-
-def test_clip_invalid_window(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    src.write_text("0 0 1 1\n")
-    code = run_cli("clip", str(src), "-o", str(tmp_path / "out.txt"),
-                   "--window", "10,0,0,10")
-    assert code == 1
-
-
-def test_clip_unknown_algo(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    src.write_text("0 0 1 1\n")
-    code = run_cli("clip", str(src), "-o", str(tmp_path / "out.txt"),
-                   "--algo", "nln")
-    assert code == 1
-    assert "unknown algorithm" in capsys.readouterr().err
-
-
 def test_clip_preserves_order_and_drops_rejected(tmp_path):
     src = tmp_path / "in.txt"
     dst = tmp_path / "out.txt"
@@ -107,26 +74,6 @@ def test_clip_algo_selection_agrees_numerically(tmp_path):
     for a, b, c in zip(*outs):
         for u, v, w in zip((*a.a, *a.b), (*b.a, *b.b), (*c.a, *c.b)):
             assert abs(u - v) <= 1e-8 and abs(u - w) <= 1e-8
-
-
-def test_clip_input_not_utf8(tmp_path, capsys):
-    src = tmp_path / "in.txt"
-    src.write_bytes(b"0 0 1 1\n\xff\xfe 2 3 4\n")
-    code = run_cli("clip", str(src), "-o", str(tmp_path / "out.txt"))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"segclip: cannot read {src}: 'utf-8' codec can't decode")
-
-
-@pytest.mark.parametrize("command", ["clip", "render"])
-def test_unwritable_output(tmp_path, capsys, command):
-    src = tmp_path / "in.txt"
-    src.write_text("-5 5 5 5\n")
-    dst = tmp_path / "missing-dir" / "out"
-    assert run_cli(command, str(src), "-o", str(dst)) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"segclip: cannot write {dst}: ")
-    assert captured.out == ""
 
 
 def test_clip_runs_with_gc_paused(tmp_path, monkeypatch):
@@ -284,23 +231,16 @@ def _constant_segment(s, w, c):
     return Segment(Point(1.0, 2.0), Point(3.0, 4.0))
 
 
-def test_bench_non_finite_output_is_one_error_line(tmp_path, capsys,
-                                                   monkeypatch):
-    monkeypatch.setitem(baselines.CLIPPERS, "_overflow", _overflowing_clip)
-    dst = tmp_path / "b.csv"
-    assert run_cli("bench", "-o", str(dst), "--sizes", "10",
-                   "--iterations", "1") == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("segclip: cannot checksum output segment ")
-    assert captured.err.endswith(": a coordinate is not finite\n")
-    assert captured.err.count("\n") == 1
+def _interrupt(s, w, c):
+    raise KeyboardInterrupt  # as Ctrl-C in the middle of the suite
 
 
 @pytest.mark.parametrize("fake_clipper, previous", [
     pytest.param(_overflowing_clip, "previous run\n", id="non-finite-checksum"),
     pytest.param(_constant_segment, "previous run\n", id="clippers-disagree"),
     pytest.param(_overflowing_clip, None, id="no-previous-file"),
+    pytest.param(_interrupt, "previous run\n", id="interrupted"),
+    pytest.param(_interrupt, None, id="interrupted-no-previous-file"),
 ])
 def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch,
                                              fake_clipper, previous):
@@ -308,8 +248,12 @@ def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch,
     dst = tmp_path / "b.csv"
     if previous is not None:
         dst.write_text(previous)
-    assert run_cli("bench", "-o", str(dst), "--sizes", "10",
-                   "--iterations", "1") == 1
+    argv = ("bench", "-o", str(dst), "--sizes", "10", "--iterations", "1")
+    if fake_clipper is _interrupt:  # an interrupt is not a `segclip:` line
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+    else:
+        assert run_cli(*argv) == 1
     if previous is None:
         assert not dst.exists()
     else:
@@ -325,16 +269,6 @@ def test_bench_huge_window_never_ends_in_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 0 and err == "" or (
         code == 1 and err.startswith("segclip: ") and err.count("\n") == 1)
-
-
-def test_bench_rejects_bad_sizes(tmp_path, capsys):
-    # a config that fails validation leaves no output file behind
-    dst = tmp_path / "x.csv"
-    for argv in (("--sizes", "100,10"), ("--sizes", "0,10"),
-                 ("--sizes", "10", "--iterations", "0")):
-        assert run_cli("bench", "-o", str(dst), *argv) == 1
-        assert capsys.readouterr().err.startswith("segclip: ")
-        assert not dst.exists()
 
 
 # --- verify -------------------------------------------------------------------
@@ -368,10 +302,6 @@ def test_verify_rejects_bad_tolerance(capsys, tolerance):
                             f"{float(tolerance)!r}\n")
 
 
-def test_verify_unknown_algo(capsys):
-    assert run_cli("verify", "--algo", "bogus", "--count", "10") == 1
-
-
 def _always_reject(s, w, c):
     return None
 
@@ -399,16 +329,6 @@ def test_verify_failures_file_is_rewritten_when_clean(tmp_path, capsys):
     assert failures.read_text() == ""
 
 
-def test_verify_unwritable_failures(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(baselines.CLIPPERS, "_always_reject", _always_reject)
-    failures = tmp_path / "missing-dir" / "f.txt"
-    assert run_cli("verify", "--algo", "_always_reject", "--count", "200",
-                   "--failures", str(failures)) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"segclip: cannot write {failures}: ")
-    assert "MISMATCH" in captured.out
-
-
 # --- failure lines --------------------------------------------------------------
 
 
@@ -432,6 +352,9 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
     pytest.param("render {tmp}/bad.txt -o {tmp}/out",
                  "{tmp}/bad.txt: line 1: expected 4 coordinates, got 1", None,
                  id="parse-error"),
+    pytest.param("clip {tmp}/bad.txt -o {tmp}/out",
+                 "{tmp}/bad.txt: line 1: expected 4 coordinates, got 1", None,
+                 id="clip-parse-error"),
     pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo nln",
                  "unknown algorithm: nln", None, id="clip-unknown-algo"),
     pytest.param("render {tmp}/in.txt -o {tmp}/out --algo nln",
@@ -460,6 +383,8 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
     pytest.param("bench -o {tmp}/out --sizes 0,10",
                  "sizes must be positive: (0, 10)", None,
                  id="non-positive-sizes"),
+    pytest.param("bench -o {tmp}/out --sizes 10 --iterations 0",
+                 "iterations must be >= 1: 0", None, id="zero-iterations"),
     pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1",
                  "cannot checksum output segment ((inf, 0.0), (1.0, 2.0)): "
                  "a coordinate is not finite", _constant_overflow,
@@ -483,8 +408,15 @@ def test_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch, argv,
         monkeypatch.setitem(baselines.CLIPPERS, fake_clipper.__name__,
                             fake_clipper)
     assert run_cli(*argv.format(tmp=tmp_path).split()) == 1
-    assert capsys.readouterr().err == (
-        "segclip: " + message.format(tmp=tmp_path) + "\n")
+    captured = capsys.readouterr()
+    assert captured.err == "segclip: " + message.format(tmp=tmp_path) + "\n"
+    # only verify prints before it fails: its summary, then the write error
+    assert captured.out == ("" if fake_clipper is not _always_reject else
+                            "verify _always_reject: MISMATCH -- 20 cases, "
+                            "16 decision mismatches, 0 coordinate mismatches "
+                            "(tolerance 1e-09), max coordinate error "
+                            "0.000e+00\n")
+    assert not (tmp_path / "out").exists()
 
 
 # --- argument handling ----------------------------------------------------------
@@ -512,6 +444,17 @@ def test_bench_paper_scale_flag_is_gone(tmp_path, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param("bench -o {tmp}/b.csv --region 0,0,1,1", id="bench"),
+    pytest.param("verify --count 10 --region 0,0,1,1", id="verify"),
+])
+def test_region_option_is_gone(tmp_path, capsys, argv):
+    # both commands sample around the window, with default_region(window)
+    assert run_cli(*argv.format(tmp=tmp_path).split()) == 1
+    assert "unrecognized arguments: --region" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("bench", "-o", "b.csv", "--sizes", "10,x"),
                  "argument --sizes: expected comma-separated integers: '10,x'",
@@ -527,8 +470,8 @@ def test_non_integer_argument_is_a_usage_error(capsys, argv, message):
 
 
 def test_window_argument_validation(tmp_path, capsys):
-    assert run_cli("verify", "--count", "1", "--window", "0,0,10") == 1
-    assert run_cli("verify", "--count", "1", "--window", "a,b,c,d") == 1
+    for bad in ("0,0,10", "a,b,c,d", "10,0,0,10"):
+        assert run_cli("verify", "--count", "1", "--window", bad) == 1
     # argparse reads a value that starts with "-" as an option, so a
     # negative first bound needs the --window=... form
     src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
