@@ -94,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
     p_verify.add_argument("--count", type=_count_arg, default=100_000,
                           help="number of random segments (default 100000)")
-    p_verify.add_argument("--tolerance", type=float, default=1e-9,
-                          help="coordinate tolerance (default 1e-9)")
     p_verify.add_argument("--failures", default=None,
                           help="write failing inputs to this segment file "
                                "(empty when there are none)")
@@ -121,43 +119,41 @@ def _write_text(path, text, mode="w"):
         f.write(text)
 
 
-def _clip_file(args, write):
-    """Read args.input, clip it with args.algo and write the output through
-    write(args.output, segments, clipped).  Returns the (read, clipped)
-    counts.  Cyclic GC stays paused throughout, as the run makes only
-    acyclic tuples of floats, which reference counting frees."""
-    with gc_paused():
-        try:
-            segments = read_segments(args.input)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise _Failure(f"cannot read {args.input}: {exc}")
-        except SegmentFormatError as exc:
-            raise _Failure(f"{args.input}: {exc}")
-        clip = get_clipper(args.algo)
-        clipped = [r for r in clip_many(clip, segments, args.window,
-                                        Counters())
-                   if r is not None]
-        _write(args.output, write, segments, clipped)
-        return len(segments), len(clipped)
+def _clip_file(args):
+    """Read args.input and clip it with args.algo; returns the input
+    segments and the accepted results, in input order."""
+    try:
+        segments = read_segments(args.input)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Failure(f"cannot read {args.input}: {exc}")
+    except SegmentFormatError as exc:
+        raise _Failure(f"{args.input}: {exc}")
+    clip = get_clipper(args.algo)
+    clipped = [r for r in clip_many(clip, segments, args.window, Counters())
+               if r is not None]
+    return segments, clipped
 
 
 def cmd_clip(args) -> int:
-    read, accepted = _clip_file(
-        args, lambda path, segments, clipped: write_segments(path, clipped))
+    segments, clipped = _clip_file(args)
+    _write(args.output, write_segments, clipped)
+    read, accepted = len(segments), len(clipped)
     print(f"read {read} accepted {accepted} rejected {read - accepted}")
     return 0
 
 
 def cmd_render(args) -> int:
     from .svg import render_svg
+    segments, clipped = _clip_file(args)
     try:
-        read, clipped = _clip_file(args, lambda path, segments, clipped: (
-            _write_text(path, render_svg(segments, clipped, args.window))))
+        svg = render_svg(segments, clipped, args.window)
     # a viewport too wide or tall for floats; the SVG is built before
     # the output file is opened, so none is written
     except NonFiniteError as exc:
         raise _Failure(exc)
-    print(f"rendered {read} segments ({clipped} clipped) to {args.output}")
+    _write(args.output, _write_text, svg)
+    print(f"rendered {len(segments)} segments ({len(clipped)} clipped) "
+          f"to {args.output}")
     return 0
 
 
@@ -197,9 +193,8 @@ def cmd_verify(args) -> int:
     from .oracle import GeneratorSpec, check_equivalence, default_region
     spec = GeneratorSpec(args.seed, args.count, default_region(args.window))
     try:
-        report = check_equivalence(args.algo, spec, args.window, args.tolerance)
-    # a tolerance that is NaN, infinite or < 0, or a sampling region that
-    # is not finite: 3x the window's extent can overflow
+        report = check_equivalence(args.algo, spec, args.window)
+    # a sampling region, 3x the window's extent, that overflows
     except ValueError as exc:
         raise _Failure(exc)
     print(report.summary())
@@ -218,7 +213,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, but 2 means a verify mismatch
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        return args.func(args)
+        # every command's GC policy: it holds many acyclic tuples, and its
+        # locals die when it returns, before the pause ends
+        with gc_paused():
+            return args.func(args)
     except UnknownClipperError:
         message = f"unknown algorithm: {args.algo}"
     except _Failure as exc:

@@ -182,7 +182,8 @@ def parse_segments(lines: Iterable[str]) -> list[Segment]:
 
 
 def read_segments(path) -> list[Segment]:
-    with open(path, encoding="utf-8") as f:
+    # utf-8-sig drops the byte-order mark that some editors write first
+    with open(path, encoding="utf-8-sig") as f:
         return parse_segments(f)
 
 

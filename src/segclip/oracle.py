@@ -116,15 +116,13 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
     # lo only ever rises above 0 and hi only ever falls below 1.
     lo_n, lo_d = 0, 1
     hi_n, hi_d = 1, 1
+    # p == 0 has q >= 0: the same-side test above rejected every q < 0
     for p, q in ((-dx, X1 - XL), (dx, XR - X1), (-dy, Y1 - YB), (dy, YT - Y1)):
-        if p == 0:
-            if q < 0:
-                return None
-        elif p < 0:  # t >= q/p
+        if p < 0:  # t >= q/p
             n, d = -q, -p
             if n * lo_d > lo_n * d:
                 lo_n, lo_d = n, d
-        else:  # t <= q/p
+        elif p > 0:  # t <= q/p
             n, d = q, p
             if n * hi_d < hi_n * d:
                 hi_n, hi_d = n, d

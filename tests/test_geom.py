@@ -143,6 +143,17 @@ def test_roundtrip_through_file(tmp_path):
     assert math.isclose(back[1].a.x, 1 / 3, abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("-5 5 5 5\n1 2 3 4\n", id="data-first"),
+    pytest.param("# exported\n-5 5 5 5\n", id="comment-first"),
+])
+def test_read_accepts_a_leading_byte_order_mark(tmp_path, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read_segments(marked) == read_segments(plain) != []
+
+
 def test_format_coord_nine_digits():
     assert format_coord(0.0) == "0"
     assert format_coord(10.0) == "10"
