@@ -140,8 +140,7 @@ def lb_clip_segments(segments, w: Window,
             pe += 1
             if p == 0.0:
                 if q < 0.0:
-                    t1 = -1.0  # parallel to this boundary and outside it
-                    break
+                    break  # parallel to this boundary and outside it
             else:
                 dv += 1
                 r = q / p
@@ -152,16 +151,16 @@ def lb_clip_segments(segments, w: Window,
                     t1 = r
                 if t0 > t1:
                     break  # no parameter satisfies every constraint so far
-        if t0 > t1:
-            append(None)
+        else:
+            if t0 > 0.0:
+                ic += 1
+                a = new(Point, (x1 + t0 * dx, y1 + t0 * dy))
+            if t1 < 1.0:
+                ic += 1
+                b = new(Point, (x1 + t1 * dx, y1 + t1 * dy))
+            append(new(Segment, (a, b)))
             continue
-        if t0 > 0.0:
-            ic += 1
-            a = new(Point, (x1 + t0 * dx, y1 + t0 * dy))
-        if t1 < 1.0:
-            ic += 1
-            b = new(Point, (x1 + t1 * dx, y1 + t1 * dy))
-        append(new(Segment, (a, b)))
+        append(None)
 
     counters.predicate_evals += pe
     counters.divisions += dv

@@ -181,25 +181,27 @@ def _corpus_with_oracle(spec: GeneratorSpec, w: Window, clip_exact):
     return segments, [clip_exact(s, w) for s in segments]
 
 
-def _point_set_error(out: Segment, exact: Segment) -> float:
-    """Largest coordinate deviation of `out` from the exact endpoints,
-    endpoint order ignored."""
+def _endpoint_error(out: Segment, exact: Segment) -> float:
+    """Largest coordinate deviation of `out` from the exact endpoints, taken
+    in order (every clipper keeps its input's endpoint order); inf when an
+    output coordinate is NaN."""
     (oax, oay), (obx, oby) = out
     (eax, eay), (ebx, eby) = exact
-    direct = max(abs(oax - eax), abs(oay - eay), abs(obx - ebx), abs(oby - eby))
-    swapped = max(abs(oax - ebx), abs(oay - eby), abs(obx - eax), abs(oby - eay))
-    return min(direct, swapped)
+    errs = (abs(oax - eax), abs(oay - eay), abs(obx - ebx), abs(oby - eby))
+    # max() keeps a NaN only as its first argument; a sum keeps every NaN
+    return math.inf if math.isnan(sum(errs)) else max(errs)
 
 
 def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
                       tolerance: float = 1e-9) -> EquivalenceReport:
     """Differential run of one clipper against the exact oracle.
 
-    Coordinates are compared with absolute allowance
-    tolerance * max(1, window extent); accept/reject decisions must agree
-    exactly.  Raises UnknownClipperError for an unknown id and ValueError
-    unless the window and the spec's region are valid windows and the
-    tolerance is finite and >= 0.
+    Coordinates are compared endpoint by endpoint, in order, with absolute
+    allowance tolerance * max(1, window extent), and a NaN coordinate is an
+    infinite error; accept/reject decisions must agree exactly.  Raises
+    UnknownClipperError for an unknown id and ValueError unless the window
+    and the spec's region are valid windows and the tolerance is finite
+    and >= 0.
     """
     clip = get_clipper(clipper)
     validate_window(w)
@@ -224,7 +226,7 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
                 report.decision_mismatches += 1
                 report.failures.append(s)
                 continue
-            err = _point_set_error(out, exact)
+            err = _endpoint_error(out, exact)
             if err > report.max_coordinate_error:
                 report.max_coordinate_error = err
             if err > abs_tol:

@@ -137,8 +137,10 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     (b, updated a).
 
     This is the hot path, so the two `clip_endpoint` passes are inlined
-    (the inner loop swaps the endpoint roles between them), a rejection
-    sets flag 0 and breaks out of that loop, and the counts stay in locals
+    (the inner loop swaps the endpoint roles between them): a rejection
+    breaks out of that loop and its `else` accepts.  An x-section predicate
+    rejection only leaves the endpoint unmoved, as `clip_endpoint`'s y
+    section always overwrites the flag it sets.  The counts stay in locals
     until they are added to `counters` once per call; results and counts
     are identical to the two-call composition, which the test suite pins.
     """
@@ -152,93 +154,73 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
         (ax, ay), (bx, by) = s
         ic0 = ic
         for _ in (0, 1):
+            # x section: a predicate rejection (passes above the top or
+            # below the bottom corner) leaves the endpoint for the y section;
+            # a product can be NaN, so `not (a < b)` is not `a >= b`
             if ax < xl:
                 if bx < xl:
-                    flag = 0
                     break
                 pe += 1
                 u = xl - bx
                 v = ax - xl
-                if u * (ay - yt) < v * (yt - by):
-                    flag = 0  # passes above the top-left corner
-                else:
+                # not (passes above the top-left corner)
+                if not (u * (ay - yt) < v * (yt - by)):
                     pe += 1
-                    if u * (ay - yb) > v * (yb - by):
-                        flag = 0  # passes below the bottom-left corner
-                    else:
+                    # not (passes below the bottom-left corner)
+                    if not (u * (ay - yb) > v * (yb - by)):
                         ic += 1
                         ay = ay + (by - ay) * (xl - ax) / (bx - ax)
                         ax = xl
-                        flag = 1
             elif ax > xr:
                 if bx > xr:
-                    flag = 0
                     break
                 pe += 1
                 u = xr - bx
                 v = ax - xr
-                if u * (ay - yt) > v * (yt - by):
-                    flag = 0  # passes above the top-right corner
-                else:
+                # not (passes above the top-right corner)
+                if not (u * (ay - yt) > v * (yt - by)):
                     pe += 1
-                    if u * (ay - yb) < v * (yb - by):
-                        flag = 0  # passes below the bottom-right corner
-                    else:
+                    # not (passes below the bottom-right corner)
+                    if not (u * (ay - yb) < v * (yb - by)):
                         ic += 1
                         ay = ay + (by - ay) * (xr - ax) / (bx - ax)
                         ax = xr
-                        flag = 1
-            else:
-                flag = 1
 
             if ay < yb:
                 if by < yb:
-                    flag = 0
                     break
                 pe += 1
                 u = ay - yb
                 if (xl - bx) * u < (ax - xl) * (yb - by):
-                    flag = 0  # passes left of the bottom-left corner
-                else:
-                    pe += 1
-                    if (xr - bx) * u > (ax - xr) * (yb - by):
-                        flag = 0  # passes right of the bottom-right corner
-                    else:
-                        ic += 1
-                        ax = ax + (bx - ax) * (yb - ay) / (by - ay)
-                        ay = yb
-                        flag = 1
+                    break  # passes left of the bottom-left corner
+                pe += 1
+                if (xr - bx) * u > (ax - xr) * (yb - by):
+                    break  # passes right of the bottom-right corner
+                ic += 1
+                ax = ax + (bx - ax) * (yb - ay) / (by - ay)
+                ay = yb
             elif ay > yt:
                 if by > yt:
-                    flag = 0
                     break
                 pe += 1
                 u = ay - yt
                 if (xl - bx) * u > (ax - xl) * (yt - by):
-                    flag = 0  # passes left of the top-left corner
-                else:
-                    pe += 1
-                    if (xr - bx) * u < (ax - xr) * (yt - by):
-                        flag = 0  # passes right of the top-right corner
-                    else:
-                        ic += 1
-                        ax = ax + (bx - ax) * (yt - ay) / (by - ay)
-                        ay = yt
-                        flag = 1
-            else:
-                flag = 1
-
-            if flag == 0:
-                break
+                    break  # passes left of the top-left corner
+                pe += 1
+                if (xr - bx) * u < (ax - xr) * (yt - by):
+                    break  # passes right of the top-right corner
+                ic += 1
+                ax = ax + (bx - ax) * (yt - ay) / (by - ay)
+                ay = yt
             ax, ay, bx, by = bx, by, ax, ay
-
-        if flag == 0:
-            append(None)
-        elif ic == ic0:
-            append(s)  # nothing moved
         else:
-            # the role swap ran twice, so (ax, ay) is endpoint A again
-            append(new(Segment, (new(Point, (ax, ay)), new(Point, (bx, by)))))
+            if ic == ic0:
+                append(s)  # nothing moved
+            else:
+                # the role swap ran twice, so (ax, ay) is endpoint A again
+                append(new(Segment, (new(Point, (ax, ay)), new(Point, (bx, by)))))
+            continue
+        append(None)
 
     counters.predicate_evals += pe
     counters.divisions += ic

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .geom import NonFiniteError, Segment, Window, format_coord
+from .geom import (NonFiniteError, Segment, Window, format_coord,
+                   validate_window)
 
 PAD_FRACTION = 0.10
 PX_WIDTH = 800
@@ -25,7 +26,7 @@ def _viewport(inputs: list[Segment], window: Window) -> Window:
         xs.extend((ax, bx))
         ys.extend((ay, by))
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-    pad = PAD_FRACTION * max(x_hi - x_lo, y_hi - y_lo, 1e-9)
+    pad = PAD_FRACTION * max(x_hi - x_lo, y_hi - y_lo)
     return Window(x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad)
 
 
@@ -41,9 +42,10 @@ def _lines(segments: Iterable[Segment], stroke: str, stroke_width: str) -> list[
 
 def render_svg(inputs: list[Segment], clipped: list[Segment], window: Window) -> str:
     """SVG 1.1 document for one clipping run (clipped segments drawn above
-    the inputs, window outline on top).  Raises NonFiniteError when the
-    padded viewport's width or height overflows."""
-    vp = _viewport(inputs, window)
+    the inputs, window outline on top).  Raises what `validate_window`
+    raises for an invalid window, and NonFiniteError when the padded
+    viewport's width or height overflows."""
+    vp = _viewport(inputs, validate_window(window))
     vw = vp.x_right - vp.x_left
     vh = vp.y_top - vp.y_bottom
     if not (math.isfinite(vw) and math.isfinite(vh)):

@@ -12,6 +12,7 @@ unit tests cover the exactly-representable corner cases).
 """
 
 import gc
+import math
 
 import hypothesis.strategies as st
 
@@ -74,6 +75,27 @@ def corpus_segments(w: Window = WINDOW):
     segment = st.one_of(st.builds(Segment, point, point),
                         point.map(lambda p: Segment(p, p)))
     return st.lists(segment, max_size=40)
+
+
+def special_coords(lo: float, hi: float):
+    """Values where float comparisons and products misbehave: +-inf, NaN,
+    +-1e308, +-0.0, the bounds lo and hi, and points just and far beyond
+    each of them."""
+    extent = hi - lo
+    return st.sampled_from([
+        math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0, lo, hi,
+        math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+        lo - extent, hi + extent])
+
+
+@st.composite
+def special_segments(draw):
+    """(window, segment): a corpus window and a segment whose coordinates
+    are that window's special values."""
+    w = draw(st.sampled_from(CORPUS_WINDOWS))
+    xs = special_coords(w.x_left, w.x_right)
+    ys = special_coords(w.y_bottom, w.y_top)
+    return w, Segment(Point(draw(xs), draw(ys)), Point(draw(xs), draw(ys)))
 
 
 def assert_batch_equals_one_at_a_time(kernel, segments, w: Window) -> None:

@@ -70,6 +70,22 @@ def test_lb_trivial_rejection():
     assert lb_clip(Segment(Point(-5.0, 2.0), Point(-1.0, 8.0)), W, c) is None
 
 
+# A segment parallel to a boundary and outside it ends the constraint loop
+# at that boundary: the earlier boundaries are evaluated, divided where
+# the segment is not parallel to them, and the later ones are not.
+@pytest.mark.parametrize("a, b, counts", [
+    ((-5.0, 2.0), (-5.0, 8.0), (1, 0)),  # left
+    ((12.0, 2.0), (12.0, 8.0), (2, 0)),  # right
+    ((2.0, -1.0), (8.0, -1.0), (3, 2)),  # bottom
+    ((2.0, 12.0), (8.0, 12.0), (4, 2)),  # top
+])
+def test_lb_parallel_outside_rejects(a, b, counts):
+    c = Counters()
+    assert lb_clip(Segment(Point(*a), Point(*b)), W, c) is None
+    assert (c.predicate_evals, c.divisions) == counts
+    assert c.intersections_computed == 0
+
+
 def test_lb_divisions_beyond_true_intersections():
     # the full diagonal needs only 2 true intersections but all four
     # parametric boundary divisions get spent

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from segclip import (BenchRow, GeneratorSpec, Segment, Point, exact_clip,
+from segclip import (BenchRow, DegenerateWindowError, GeneratorSpec,
+                     NonFiniteError, Segment, Point, Window, exact_clip,
                      gen_segments, write_segments)
 import segclip.baselines as baselines
 import segclip.bench as bench
@@ -12,6 +13,7 @@ import segclip.cli as cli
 from segclip.bench import rows_to_csv
 from segclip.cli import main
 from segclip.geom import DEFAULT_WINDOW
+from segclip.svg import render_svg
 
 WINDOW_ARG = "0,0,10,10"
 
@@ -183,6 +185,28 @@ def test_render_has_y_flip(tmp_path):
     svg = tmp_path / "out.svg"
     assert run_cli("render", str(src), "-o", str(svg), "--window", WINDOW_ARG) == 0
     assert 'scale(1 -1)' in svg.read_text()
+
+
+def test_render_draws_a_tiny_window_at_its_own_scale(tmp_path):
+    # the padding is a tenth of the drawing's extent, however small
+    src = tmp_path / "in.txt"
+    src.write_text("0 0 1e-12 1e-12\n")
+    svg = tmp_path / "out.svg"
+    assert run_cli("render", str(src), "-o", str(svg),
+                   "--window=0,0,1e-12,1e-12") == 0
+    text = svg.read_text()
+    view_width = float(re.search(r'viewBox="\S+ \S+ (\S+) ', text).group(1))
+    rect_width = float(re.search(r'<rect [^>]*? width="([^"]*)"', text).group(1))
+    assert rect_width >= view_width / 2
+
+
+@pytest.mark.parametrize("window, error", [
+    (Window(0.0, 0.0, 0.0, 1.0), DegenerateWindowError),
+    (Window(0.0, math.inf, 0.0, 1.0), NonFiniteError),
+])
+def test_render_svg_rejects_an_invalid_window(window, error):
+    with pytest.raises(error):
+        render_svg([], [], window)
 
 
 def test_render_at_the_largest_finite_extent(tmp_path):

@@ -397,26 +397,49 @@ def test_check_equivalence_flags_broken_clipper(monkeypatch):
     assert rep2.decision_mismatches > 0
 
 
-def test_check_equivalence_swapped_endpoints_ok(monkeypatch):
-    # output order must not matter: compare as point sets
+def test_check_equivalence_compares_endpoints_in_order(monkeypatch):
+    # every clipper keeps its input's endpoint order, so a reversed output
+    # is wrong wherever its endpoints differ
     def reversed_quad(s, w, c):
-        from segclip.quadclip import clip_segment
         r = clip_segment(s, w, c)
         return None if r is None else Segment(r.b, r.a)
 
     monkeypatch.setitem(baselines.CLIPPERS, "_swap", reversed_quad)
     rep = check_equivalence("_swap", GeneratorSpec(seed=5, count=2_000), W)
-    assert rep.ok
+    assert rep.decision_mismatches == 0
+    assert rep.coordinate_mismatches > 0
+    assert "MISMATCH" in rep.summary()
 
 
-def _set_error(out, want):
+@pytest.mark.parametrize("coordinate", ["a.x", "b.x"])
+def test_check_equivalence_flags_a_nan_output(monkeypatch, coordinate):
+    # max() drops a NaN that is not its first argument, and a NaN error is
+    # never above the tolerance: a NaN must count as an infinite error
+    def nan_coordinate(s, w, c):
+        r = exact_clip(s, w)
+        if r is None:
+            return None
+        if coordinate == "a.x":
+            return Segment(Point(math.nan, r.a.y), r.b)
+        return Segment(r.a, Point(math.nan, r.b.y))
+
+    monkeypatch.setitem(baselines.CLIPPERS, "_nan", nan_coordinate)
+    rep = check_equivalence("_nan", GeneratorSpec(seed=7, count=2_000), W)
+    accepted = sum(exact_clip(s, W) is not None
+                   for s in gen_segments(GeneratorSpec(seed=7, count=2_000)))
+    assert rep.decision_mismatches == 0
+    assert rep.coordinate_mismatches == accepted > 0
+    assert rep.max_coordinate_error == math.inf
+    assert rep.summary().startswith("verify _nan: MISMATCH")
+
+
+def _endpoint_error(out, want):
     """Largest coordinate deviation from the exact endpoints rounded to
-    floats, under the better of the two endpoint pairings."""
-    (oax, oay), (obx, oby) = out
-    (eax, eay), (ebx, eby) = ((float(x), float(y)) for x, y in want)
-    direct = max(abs(oax - eax), abs(oay - eay), abs(obx - ebx), abs(oby - eby))
-    swapped = max(abs(oax - ebx), abs(oay - eby), abs(obx - eax), abs(oby - eay))
-    return min(direct, swapped)
+    floats, endpoints taken in order; inf for a NaN output coordinate."""
+    (wax, way), (wbx, wby) = want
+    errs = [abs(o - float(e))
+            for o, e in zip((*out.a, *out.b), (wax, way, wbx, wby))]
+    return math.inf if any(math.isnan(e) for e in errs) else max(errs)
 
 
 # Windows on which the float clippers disagree with the oracle (overflow,
@@ -444,7 +467,7 @@ def test_check_equivalence_reports_rederived(w):
                 continue
             if out is None:
                 continue
-            err = _set_error(out, want)
+            err = _endpoint_error(out, want)
             worst = max(worst, err)
             if err > abs_tol:
                 coordinates += 1
