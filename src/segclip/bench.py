@@ -156,6 +156,7 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
                 if pass_index > 0:  # pass 0 is warmup
                     totals[cid] += ms
                     checksums[cid] += ck
+            del corpus  # so that the next is never built beside it
             if len(set(pass_checksums.values())) != 1:
                 raise RuntimeError(
                     f"clipper outputs disagree at size {size}, "

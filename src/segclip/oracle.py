@@ -25,6 +25,7 @@ from .geom import (DEFAULT_WINDOW, Counters, Point, Segment, Window,
 # sampling region extent over window extent: segments then land in a useful
 # mix of dispositions, some wholly outside, some crossing, some inside
 REGION_FACTOR = 3.0
+_CHUNK = 4096  # segments `check_equivalence` clips per batch call
 
 
 def default_region(window: Window = DEFAULT_WINDOW) -> Window:
@@ -43,6 +44,10 @@ class GeneratorSpec:
     seed: int
     count: int
     region: Window = default_region()
+
+    def __post_init__(self):  # count 0 is an empty corpus
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0: {self.count}")
 
 
 def gen_segments(spec: GeneratorSpec) -> list[Segment]:
@@ -168,17 +173,26 @@ class EquivalenceReport:
                 f"max coordinate error {self.max_coordinate_error:.3e}")
 
 
-@lru_cache(maxsize=1)
+_cached = None  # ((spec, w, clip_exact), segments, exact results) or None
+
+
 def _corpus_with_oracle(spec: GeneratorSpec, w: Window, clip_exact):
     """Corpus plus per-segment exact results, cached so that checking several
     clippers against the same corpus prices the oracle only once.  Callers
     check all their clippers on one corpus before the next, so only the
-    latest is kept.  `clip_exact` is the `exact_clip` the caller sees (this
-    module's own, a test's spy or a tracing wrapper), called once per
-    segment in order, and part of the cache key.  Its caller,
-    `check_equivalence`, pauses cyclic GC around the build."""
-    segments = gen_segments(spec)
-    return segments, [clip_exact(s, w) for s in segments]
+    latest is kept, and dropped before the next is built.  `clip_exact` is
+    the `exact_clip` the caller sees (this module's own, a test's spy or a
+    tracing wrapper), called once per segment in order, and part of the key,
+    compared with `==`.  A build that raises leaves the cache empty.  Its
+    caller, `check_equivalence`, pauses cyclic GC around the build."""
+    global _cached
+    key = (spec, w, clip_exact)
+    entry = _cached  # read once, so that no caller mixes two entries
+    if entry is None or entry[0] != key:
+        _cached = entry = None
+        segments = gen_segments(spec)
+        _cached = entry = (key, segments, [clip_exact(s, w) for s in segments])
+    return entry[1], entry[2]
 
 
 def _endpoint_error(out: Segment, exact: Segment) -> float:
@@ -212,25 +226,29 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
             f"tolerance must be finite and >= 0: {tolerance!r}")
     abs_tol = tolerance * max(1.0, w.extent())
     # one pause covers the corpus build, the clipping and the comparison;
-    # the clip results are freed before GC resumes, so that no collection
-    # rescans them
+    # outputs are clipped and compared `_CHUNK` segments at a time, and each
+    # chunk's are freed before the next is clipped, so that no collection
+    # rescans them and at most one chunk of them is alive
     with gc_paused():
         segments, exacts = _corpus_with_oracle(spec, w, exact_clip)
         report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
                                    cases_run=len(segments))
-        outs = clip_many(clip, segments, w, Counters())
-        for s, out, exact in zip(segments, outs, exacts):
-            if out == exact:  # both None, or the same points in order
-                continue
-            if out is None or exact is None:
-                report.decision_mismatches += 1
-                report.failures.append(s)
-                continue
-            err = _endpoint_error(out, exact)
-            if err > report.max_coordinate_error:
-                report.max_coordinate_error = err
-            if err > abs_tol:
-                report.coordinate_mismatches += 1
-                report.failures.append(s)
-        del outs
+        counters = Counters()
+        for i in range(0, len(segments), _CHUNK):
+            chunk = segments[i:i + _CHUNK]
+            outs = clip_many(clip, chunk, w, counters)
+            for s, out, exact in zip(chunk, outs, exacts[i:i + _CHUNK]):
+                if out == exact:  # both None, or the same points in order
+                    continue
+                if out is None or exact is None:
+                    report.decision_mismatches += 1
+                    report.failures.append(s)
+                    continue
+                err = _endpoint_error(out, exact)
+                if err > report.max_coordinate_error:
+                    report.max_coordinate_error = err
+                if err > abs_tol:
+                    report.coordinate_mismatches += 1
+                    report.failures.append(s)
+            del outs
     return report

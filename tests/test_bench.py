@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -162,6 +163,25 @@ def test_run_suite_two_sizes_deterministic():
     assert [r.size for r in rows_a] == [10, 10, 10, 100, 100, 100]
     for a, b in zip(rows_a, rows_b):
         assert (a.size, a.clipper, a.checksum) == (b.size, b.clipper, b.checksum)
+
+
+def test_run_suite_holds_one_corpus_at_a_time():
+    # each pass's corpus is freed before the next is generated; building
+    # the next beside it would read 2x one corpus
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        corpus = gen_segments(GeneratorSpec(seed=91_004, count=20_000))
+        one = tracemalloc.get_traced_memory()[0] - base
+        del corpus
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_suite(BenchConfig(sizes=(20_000,), iterations=2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * one
 
 
 def test_run_suite_validation():

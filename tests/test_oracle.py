@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,13 @@ def test_exact_accepts_fraction_inputs():
 
 def test_gen_zero_count():
     assert gen_segments(GeneratorSpec(seed=42, count=0)) == []
+
+
+@pytest.mark.parametrize("count", [-1, -5])
+def test_spec_rejects_a_negative_count(count):
+    # a negative count would check an empty corpus and report OK
+    with pytest.raises(ValueError, match=r"count must be >= 0: -"):
+        GeneratorSpec(seed=1, count=count)
 
 
 def test_gen_deterministic():
@@ -329,6 +337,43 @@ def test_check_equivalence_keeps_only_the_latest_corpus(monkeypatch):
                      + gen_segments(first))
 
 
+def _peak_over_held(first, then):
+    """Traced memory: the peak during `then()` over what `first()` leaves
+    held, both counted from before `first()`.  The oracle's cached corpus
+    is evicted first, by checking an empty one."""
+    check_equivalence("quadclip", GeneratorSpec(seed=1, count=0), W)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first()
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        then()
+        return (tracemalloc.get_traced_memory()[1] - base) / held
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_equivalence_drops_the_cached_corpus_before_the_next():
+    # a new spec's corpus and exact results are built only once the cached
+    # ones are freed; building them beside the old would read 2x
+    a = GeneratorSpec(seed=91_001, count=20_000)
+    b = GeneratorSpec(seed=91_002, count=20_000)
+    ratio = _peak_over_held(lambda: check_equivalence("quadclip", a, W),
+                            lambda: check_equivalence("quadclip", b, W))
+    assert ratio < 1.25
+
+
+def test_check_equivalence_holds_one_chunk_of_outputs():
+    # a second clipper on the cached corpus adds one chunk of outputs at a
+    # time; all 20k at once would read about 1.3x
+    spec = GeneratorSpec(seed=91_003, count=20_000)
+    ratio = _peak_over_held(lambda: check_equivalence("quadclip", spec, W),
+                            lambda: check_equivalence("cs", spec, W))
+    assert ratio < 1.2
+
+
 @pytest.mark.parametrize("w", [
     W,
     Window(0.0, 1.0, 0.0, 1.0),
@@ -395,6 +440,34 @@ def test_check_equivalence_flags_broken_clipper(monkeypatch):
     assert "MISMATCH" in rep.summary()
     rep2 = check_equivalence("_rej", GeneratorSpec(seed=5, count=500), W)
     assert rep2.decision_mismatches > 0
+
+
+def test_check_equivalence_counts_across_chunk_boundaries(monkeypatch):
+    # outputs are compared in chunks of 4096: inputs 4095 and 4096 lie on
+    # either side of the first boundary, and 9999 is the last input
+    spec = GeneratorSpec(seed=91_012, count=10_000)
+    corpus = gen_segments(spec)
+    a, b, last = corpus[4095], corpus[4096], corpus[9999]
+    assert exact_clip(a, W) is None
+    assert exact_clip(b, W) is not None and exact_clip(last, W) is not None
+
+    def wrong_at_three(s, w, c):
+        r = exact_clip(s, w)
+        if s == a:  # accepts a segment the oracle rejects
+            return s
+        if s == b:  # moves the first endpoint
+            return Segment(Point(r.a.x + 0.5, r.a.y), r.b)
+        if s == last:  # rejects a segment the oracle accepts
+            return None
+        return r
+
+    monkeypatch.setitem(baselines.CLIPPERS, "_three", wrong_at_three)
+    rep = check_equivalence("_three", spec, W)
+    moved = exact_clip(b, W).a.x
+    assert (rep.cases_run, rep.decision_mismatches,
+            rep.coordinate_mismatches) == (10_000, 2, 1)
+    assert rep.max_coordinate_error == abs(moved + 0.5 - moved)
+    assert rep.failures == [a, b, last]
 
 
 def test_check_equivalence_compares_endpoints_in_order(monkeypatch):
