@@ -121,7 +121,9 @@ def _write_text(path, text, mode="w"):
 
 def _clip_file(args):
     """Read args.input and clip it with args.algo; returns the input
-    segments and the accepted results, in input order."""
+    segments and the accepted results, in input order.  Fails on the
+    first result with a NaN or infinite coordinate (the float clippers
+    overflow at windows near 1e160), before any output file is opened."""
     try:
         segments = read_segments(args.input)
     except (OSError, UnicodeDecodeError) as exc:
@@ -131,6 +133,12 @@ def _clip_file(args):
     clip = get_clipper(args.algo)
     clipped = [r for r in clip_many(clip, segments, args.window, Counters())
                if r is not None]
+    for (x1, y1), (x2, y2) in clipped:
+        # as in the parser: a zero for finite v, NaN otherwise
+        if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
+            raise _Failure(
+                f"{args.algo} output segment (({x1!r}, {y1!r}), "
+                f"({x2!r}, {y2!r})): a coordinate is not finite")
     return segments, clipped
 
 

@@ -1,5 +1,5 @@
-"""Shared hypothesis strategies, the batch-kernel check they feed, and a
-cyclic-GC collection counter.
+"""Shared hypothesis strategies, the batch-kernel check they feed, a
+cyclic-GC collection counter and a spy on how long results live.
 
 Property tests draw coordinates from a 1/8 grid: every corner-orientation
 product is then exact in double precision, so the clippers' control flow
@@ -13,6 +13,7 @@ unit tests cover the exactly-representable corner cases).
 
 import gc
 import math
+import weakref
 
 import hypothesis.strategies as st
 
@@ -139,3 +140,27 @@ def collections_started(call):
         gc.callbacks.remove(on_gc)
         (gc.enable if was_enabled else gc.disable)()
     return result, count
+
+
+class _Watched(list):
+    """A list that a weak reference can watch; a plain list cannot."""
+
+
+def results_freed_in_turn(monkeypatch, module, name):
+    """Replace `module.name` with a spy that returns each result as a
+    weakly watched list and asserts, on every call, that every earlier
+    result has been freed.  Returns the list of each call's positional
+    arguments."""
+    real = getattr(module, name)
+    calls, watched = [], []
+
+    def spy(*args):
+        alive = [i for i, ref in enumerate(watched) if ref() is not None]
+        assert not alive, f"{name} call {len(calls)}: results {alive} alive"
+        calls.append(args)
+        result = _Watched(real(*args))
+        watched.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+    return calls

@@ -1,12 +1,12 @@
 import gc
 import math
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import segclip.baselines as baselines
+import segclip.bench as bench
 from segclip import (BenchConfig, BenchRow, DegenerateWindowError,
                      GeneratorSpec, NonFiniteError, Point, Segment, Window,
                      checksum_segments, default_region, gen_segments,
@@ -16,7 +16,7 @@ from segclip.geom import DEFAULT_WINDOW
 from segclip.quadclip import clip_segment
 
 from _reference import checksum_segments as reference_checksum
-from _strategies import collections_started
+from _strategies import collections_started, results_freed_in_turn
 
 W = DEFAULT_WINDOW
 
@@ -165,23 +165,11 @@ def test_run_suite_two_sizes_deterministic():
         assert (a.size, a.clipper, a.checksum) == (b.size, b.clipper, b.checksum)
 
 
-def test_run_suite_holds_one_corpus_at_a_time():
-    # each pass's corpus is freed before the next is generated; building
-    # the next beside it would read 2x one corpus
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        corpus = gen_segments(GeneratorSpec(seed=91_004, count=20_000))
-        one = tracemalloc.get_traced_memory()[0] - base
-        del corpus
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run_suite(BenchConfig(sizes=(20_000,), iterations=2))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.75 * one
+def test_run_suite_holds_one_corpus_at_a_time(monkeypatch):
+    # each pass's corpus is freed before the next is generated
+    corpora = results_freed_in_turn(monkeypatch, bench, "gen_segments")
+    run_suite(BenchConfig(sizes=(10, 100), iterations=2))
+    assert [args[0].count for args in corpora] == [10] * 3 + [100] * 3
 
 
 def test_run_suite_validation():

@@ -217,8 +217,9 @@ def test_render_at_the_largest_finite_extent(tmp_path):
     assert run_cli("render", str(src), "-o", str(svg),
                    "--window=0,0,1e308,1e308") == 0
     assert 'width="800" height="800"' in svg.read_text()
-    # a viewport that overflows fails before the output file is opened
-    src.write_text("1e308 1e308 -1e308 -1e308\n")
+    # a viewport that overflows fails before the output file is opened;
+    # both segments are rejected, so no output is NaN
+    src.write_text("-1e308 -1e308 1e308 -1e308\n-1e308 -1e308 -1e308 1e308\n")
     svg.unlink()
     assert run_cli("render", str(src), "-o", str(svg)) == 1
     assert not svg.exists()
@@ -424,13 +425,26 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
     pytest.param("render {tmp}/huge.txt -o {tmp}/out",
                  "cannot render: padded viewport width and height must be "
                  "finite: inf by inf", None, id="render-viewport-overflows"),
+    # quadclip's and cs's corner products overflow at this window
+    pytest.param("clip {tmp}/far.txt -o {tmp}/out --window 0,0,1e160,1e160",
+                 "quadclip output segment ((nan, 1e+160), (5e+159, 5e+159)): "
+                 "a coordinate is not finite", None,
+                 id="clip-non-finite-output"),
+    pytest.param("render {tmp}/far.txt -o {tmp}/out --window 0,0,1e160,1e160 "
+                 "--algo cs",
+                 "cs output segment ((nan, 1e+160), (5e+159, 5e+159)): "
+                 "a coordinate is not finite", None,
+                 id="render-non-finite-output"),
 ])
 def test_failure_is_one_stderr_line(tmp_path, capsys, monkeypatch, argv,
                                     message, fake_clipper):
     (tmp_path / "in.txt").write_text("-5 5 5 5\n")
     (tmp_path / "bad.txt").write_text("abc\n")
     (tmp_path / "latin.txt").write_bytes(b"0 0 1 1\n\xff\xfe 2 3 4\n")
-    (tmp_path / "huge.txt").write_text("1e308 1e308 -1e308 -1e308\n")
+    # both segments are rejected, so no output is NaN
+    (tmp_path / "huge.txt").write_text("-1e308 -1e308 1e308 -1e308\n"
+                                       "-1e308 -1e308 -1e308 1e308\n")
+    (tmp_path / "far.txt").write_text("-1e160 2e159 5e159 5e159\n")
     if fake_clipper is not None:
         monkeypatch.setitem(baselines.CLIPPERS, fake_clipper.__name__,
                             fake_clipper)

@@ -1,7 +1,6 @@
 import gc
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ import segclip.oracle as oracle
 from segclip.quadclip import clip_endpoint, clip_segment
 
 from _reference import frac_clip
-from _strategies import WINDOW, collections_started
+from _strategies import WINDOW, collections_started, results_freed_in_turn
 
 W = WINDOW
 
@@ -337,41 +336,26 @@ def test_check_equivalence_keeps_only_the_latest_corpus(monkeypatch):
                      + gen_segments(first))
 
 
-def _peak_over_held(first, then):
-    """Traced memory: the peak during `then()` over what `first()` leaves
-    held, both counted from before `first()`.  The oracle's cached corpus
-    is evicted first, by checking an empty one."""
-    check_equivalence("quadclip", GeneratorSpec(seed=1, count=0), W)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        first()
-        held = tracemalloc.get_traced_memory()[0] - base
-        tracemalloc.reset_peak()
-        then()
-        return (tracemalloc.get_traced_memory()[1] - base) / held
-    finally:
-        tracemalloc.stop()
+def test_check_equivalence_drops_the_cached_corpus_before_the_next(
+        monkeypatch):
+    # a new spec's corpus is built only once the cached one is freed, so
+    # two are never alive at once; new seeds, so both are built
+    corpora = results_freed_in_turn(monkeypatch, oracle, "gen_segments")
+    a = GeneratorSpec(seed=91_001, count=1_000)
+    b = GeneratorSpec(seed=91_002, count=1_000)
+    for spec in (a, b):
+        assert check_equivalence("quadclip", spec, W).ok
+    assert corpora == [(a,), (b,)]
 
 
-def test_check_equivalence_drops_the_cached_corpus_before_the_next():
-    # a new spec's corpus and exact results are built only once the cached
-    # ones are freed; building them beside the old would read 2x
-    a = GeneratorSpec(seed=91_001, count=20_000)
-    b = GeneratorSpec(seed=91_002, count=20_000)
-    ratio = _peak_over_held(lambda: check_equivalence("quadclip", a, W),
-                            lambda: check_equivalence("quadclip", b, W))
-    assert ratio < 1.25
-
-
-def test_check_equivalence_holds_one_chunk_of_outputs():
-    # a second clipper on the cached corpus adds one chunk of outputs at a
-    # time; all 20k at once would read about 1.3x
-    spec = GeneratorSpec(seed=91_003, count=20_000)
-    ratio = _peak_over_held(lambda: check_equivalence("quadclip", spec, W),
-                            lambda: check_equivalence("cs", spec, W))
-    assert ratio < 1.2
+def test_check_equivalence_holds_one_chunk_of_outputs(monkeypatch):
+    # outputs are clipped 4096 segments at a time, and each chunk's are
+    # freed before the next is clipped
+    calls = results_freed_in_turn(monkeypatch, oracle, "clip_many")
+    spec = GeneratorSpec(seed=91_003, count=10_000)
+    assert check_equivalence("quadclip", spec, W).ok
+    sizes = [len(args[1]) for args in calls]
+    assert sum(sizes) == spec.count and max(sizes) <= 4096
 
 
 @pytest.mark.parametrize("w", [
