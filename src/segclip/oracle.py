@@ -1,11 +1,15 @@
 """Ground-truth clipping in exact rational arithmetic plus differential checks.
 
-`exact_clip` intersects the parametric segment with the window's four closed
-half-planes using integer arithmetic over the lcm of all coordinate
-denominators (every finite double is a rational with a power-of-two
-denominator, so the conversion is lossless).  The decision is exact, and
-each moved endpoint coordinate is rounded once, to the nearest float, which
-makes it a trustworthy referee for the floating-point clippers:
+`exact_clip` intersects the parametric segment with the window's closed
+half-planes in integer arithmetic, and only with those an endpoint lies
+strictly beyond.  Every finite double is a rational with a power-of-two
+denominator, so the conversion is lossless: float coordinates are scaled by
+one power of two per window, chosen from the window's magnitude, and any
+coordinate that scale leaves fractional (or an int, a Fraction, or a window
+with non-dyadic bounds) goes over the lcm of all denominators instead.  The
+decision is exact, and each moved endpoint coordinate off the window edge is
+rounded once, to the nearest float, which makes it a trustworthy referee
+for the floating-point clippers:
 `check_equivalence` replays a seeded corpus through a clipper
 and the oracle and reports any disagreement.
 """
@@ -57,11 +61,16 @@ def gen_segments(spec: GeneratorSpec) -> list[Segment]:
     Each coordinate is `lo + (hi - lo) * random()`, drawn in the order x1,
     y1, x2, y2: the formula and call order of `random.Random.uniform`, so a
     spec gives the same corpus as drawing with `uniform`, bit for bit.
-    Cyclic GC is paused while the list is built.
+    Cyclic GC is paused while the list is built.  Raises ValueError when
+    the region's width or height is not finite (finite bounds near +-1e308
+    can overflow them), since every coordinate would then be infinite.
     """
     rand = random.Random(spec.seed).random
     xl, xr, yb, yt = spec.region
     width, height = xr - xl, yt - yb
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError("sampling region width and height must be finite: "
+                         f"{spec.region!r}")
     new = tuple.__new__
     with gc_paused():
         return [
@@ -73,13 +82,36 @@ def gen_segments(spec: GeneratorSpec) -> list[Segment]:
 
 
 @lru_cache(maxsize=8)
-def _window_ratios(w: Window) -> tuple[int, int, int, int, int]:
-    """(wd, XL, XR, YB, YT): the window's bounds as integers over wd, the lcm
-    of their denominators.  Numerically equal windows have equal ratios, so
-    they may share a cache entry."""
-    ratios = [v.as_integer_ratio() for v in w]
-    d = math.lcm(*(q for _, q in ratios))
-    return (d, *(n * (d // q) for n, q in ratios))
+def _window_frame(w: Window) -> tuple:
+    """(D, XL, XR, YB, YT, S, fxl, fxr, fyb, fyt): the window's integer frame.
+
+    XL..YT are the bounds as integers over the common denominator D, and
+    fxl..fyt the floats nearest them (-0.0 becomes 0.0).  When the bounds
+    are dyadic, D is 2**K, with K chosen from the window's magnitude
+    m = max(|bound|, extent) so that every float down to 2**-10 ulp(m) is
+    an integer at D, and S is float(D); otherwise D is the lcm of the
+    bounds' denominators and S is NaN, so that no coordinate passes the
+    `(x * S).is_integer()` test.  Numerically equal windows have equal
+    frames, so they may share a cache entry.
+    """
+    ratios = [v.as_integer_ratio() for v in w]  # raises for NaN and inf
+    D = math.lcm(*(q for _, q in ratios))
+    XL, XR, YB, YT = (n * (D // q) for n, q in ratios)
+    S = math.nan
+    k = D.bit_length() - 1
+    if D == 1 << k:
+        # frexp(m)[1], the binary exponent of the window's magnitude
+        e = max(abs(XL), abs(XR), abs(YB), abs(YT),
+                XR - XL, YT - YB).bit_length() - k
+        K = min(max(k, 63 - e), 1023)  # 2**1023 is the largest finite one
+        if K >= k:
+            D <<= K - k
+            XL, XR, YB, YT = (v << (K - k) for v in (XL, XR, YB, YT))
+            S = float(D)
+    return D, XL, XR, YB, YT, S, XL / D, XR / D, YB / D, YT / D
+
+
+_last_frame = (None, None)  # (window, its frame): skips the lru lookup
 
 
 def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
@@ -88,49 +120,82 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
     Accepts float, int or Fraction coordinates.  Returns None when the
     parametric interval is empty.  Otherwise each endpoint the interval
     keeps (t = 0 or t = 1) is the input's own Point, and a segment wholly
-    inside is returned as is; a moved endpoint's coordinates are the
-    floats nearest the exact values (`int / int` rounds correctly, so each
-    is bit for bit `float(Fraction)`).  A single-point overlap yields a
-    degenerate a == b result.
+    inside is returned as is.  A moved endpoint lies on the window edge
+    that moved it and takes that edge's float; its other coordinate is
+    the float nearest the exact value (`int / int` rounds correctly, so
+    each is bit for bit `float(Fraction)`).  A single-point overlap yields
+    a degenerate a == b result.
 
     A segment with both endpoints strictly beyond the same boundary is
     rejected by comparing coordinates, which Python does exactly across
-    float, int and Fraction (so such a segment is rejected even with an
-    infinite coordinate); every other segment is converted to integers
-    over the lcm of all denominators, and a non-finite coordinate there
-    raises.
+    float, int and Fraction (so such a segment is rejected even when it
+    holds an infinity, or a NaN on the other axis).  Every other segment
+    is converted to integers: when all four coordinates are floats whole
+    at the window's power-of-two scale S (see `_window_frame`), each is
+    multiplied by S; otherwise (int, Fraction, finer floats, or a window
+    without such a scale) all go over the lcm of their denominators and
+    the window's, where a NaN coordinate raises ValueError and an
+    infinite one OverflowError.
     """
+    global _last_frame
     (x1, y1), (x2, y2) = s
     xl, xr, yb, yt = w
     if ((x1 < xl and x2 < xl) or (x1 > xr and x2 > xr)
             or (y1 < yb and y2 < yb) or (y1 > yt and y2 > yt)):
         return None
-    wd, XL, XR, YB, YT = _window_ratios(w)
-    n1, d1 = x1.as_integer_ratio()
-    n2, d2 = y1.as_integer_ratio()
-    n3, d3 = x2.as_integer_ratio()
-    n4, d4 = y2.as_integer_ratio()
-    scale = math.lcm(wd, d1, d2, d3, d4)
-    k = scale // wd
-    XL, XR, YB, YT = XL * k, XR * k, YB * k, YT * k
-    X1 = n1 * (scale // d1)
-    Y1 = n2 * (scale // d2)
-    dx = n3 * (scale // d3) - X1
-    dy = n4 * (scale // d4) - Y1
-    # Clipped parameter range [lo, hi] as integer fractions, denominators > 0;
-    # lo only ever rises above 0 and hi only ever falls below 1.
-    lo_n, lo_d = 0, 1
-    hi_n, hi_d = 1, 1
-    # p == 0 has q >= 0: the same-side test above rejected every q < 0
-    for p, q in ((-dx, X1 - XL), (dx, XR - X1), (-dy, Y1 - YB), (dy, YT - Y1)):
-        if p < 0:  # t >= q/p
-            n, d = -q, -p
-            if n * lo_d > lo_n * d:
-                lo_n, lo_d = n, d
-        elif p > 0:  # t <= q/p
-            n, d = q, p
-            if n * hi_d < hi_n * d:
-                hi_n, hi_d = n, d
+    last, frame = _last_frame
+    if last is not w:
+        frame = _window_frame(w)
+        _last_frame = (w, frame)
+    D, XL, XR, YB, YT, S, fxl, fxr, fyb, fyt = frame
+    if (x1.__class__ is float and y1.__class__ is float
+            and x2.__class__ is float and y2.__class__ is float
+            and (X1 := x1 * S).is_integer() and (Y1 := y1 * S).is_integer()
+            and (X2 := x2 * S).is_integer() and (Y2 := y2 * S).is_integer()):
+        X1, Y1, X2, Y2 = int(X1), int(Y1), int(X2), int(Y2)
+        scale = D
+    else:
+        n1, d1 = x1.as_integer_ratio()
+        n2, d2 = y1.as_integer_ratio()
+        n3, d3 = x2.as_integer_ratio()
+        n4, d4 = y2.as_integer_ratio()
+        scale = math.lcm(D, d1, d2, d3, d4)
+        k = scale // D
+        XL, XR, YB, YT = XL * k, XR * k, YB * k, YT * k
+        X1 = n1 * (scale // d1)
+        Y1 = n2 * (scale // d2)
+        X2 = n3 * (scale // d3)
+        Y2 = n4 * (scale // d4)
+    dx = X2 - X1
+    dy = Y2 - Y1
+    # Clipped parameter range [lo, hi] as integer fractions, denominators
+    # > 0.  Only an edge that the first endpoint lies strictly beyond can
+    # raise lo above 0, and only one that the second lies beyond can lower
+    # hi below 1; the same-side test above left the other endpoint on the
+    # window's side of it, which fixes the sign of dx or dy.  lo_y (hi_y)
+    # is None while lo (hi) comes from an x edge, whose float is lo_x (hi_x).
+    lo_n, lo_d, lo_x, lo_y = 0, 1, None, None
+    if x1 < xl:
+        lo_n, lo_d, lo_x = XL - X1, dx, fxl
+    elif x1 > xr:
+        lo_n, lo_d, lo_x = X1 - XR, -dx, fxr
+    if y1 < yb:
+        if (YB - Y1) * lo_d > lo_n * dy:
+            lo_n, lo_d, lo_y = YB - Y1, dy, fyb
+    elif y1 > yt:
+        if (Y1 - YT) * lo_d > lo_n * -dy:
+            lo_n, lo_d, lo_y = Y1 - YT, -dy, fyt
+    hi_n, hi_d, hi_x, hi_y = 1, 1, None, None
+    if x2 < xl:
+        hi_n, hi_d, hi_x = X1 - XL, -dx, fxl
+    elif x2 > xr:
+        hi_n, hi_d, hi_x = XR - X1, dx, fxr
+    if y2 < yb:
+        if (Y1 - YB) * hi_d < hi_n * -dy:
+            hi_n, hi_d, hi_y = Y1 - YB, -dy, fyb
+    elif y2 > yt:
+        if (YT - Y1) * hi_d < hi_n * dy:
+            hi_n, hi_d, hi_y = YT - Y1, dy, fyt
     if lo_n * hi_d > hi_n * lo_d:
         return None
     if lo_n == 0 and hi_n == hi_d:
@@ -139,12 +204,12 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
     a, b = s
     if lo_n:
         d = scale * lo_d
-        a = new(Point, ((X1 * lo_d + dx * lo_n) / d,
-                        (Y1 * lo_d + dy * lo_n) / d))
+        a = new(Point, (lo_x, (Y1 * lo_d + dy * lo_n) / d) if lo_y is None
+                else ((X1 * lo_d + dx * lo_n) / d, lo_y))
     if hi_n != hi_d:
         d = scale * hi_d
-        b = new(Point, ((X1 * hi_d + dx * hi_n) / d,
-                        (Y1 * hi_d + dy * hi_n) / d))
+        b = new(Point, (hi_x, (Y1 * hi_d + dy * hi_n) / d) if hi_y is None
+                else ((X1 * hi_d + dx * hi_n) / d, hi_y))
     return new(Segment, (a, b))
 
 
@@ -214,8 +279,8 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
     allowance tolerance * max(1, window extent), and a NaN coordinate is an
     infinite error; accept/reject decisions must agree exactly.  Raises
     UnknownClipperError for an unknown id and ValueError unless the window
-    and the spec's region are valid windows and the tolerance is finite
-    and >= 0.
+    and the spec's region are valid windows, the region's width and height
+    are finite, and the tolerance is finite and >= 0.
     """
     clip = get_clipper(clipper)
     validate_window(w)

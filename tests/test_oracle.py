@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,7 +57,8 @@ windows_any_type = st.one_of(
 def _assert_rounds(s, got, want):
     """`got` is the reference clip `want` of `s` rounded once to floats: an
     endpoint the clip keeps is the input's own point, and a moved one holds
-    floats equal to float() of the exact coordinates."""
+    floats equal to float() of the exact coordinates, down to the sign of
+    a zero."""
     if want is None:
         assert got is None
         return
@@ -67,6 +69,8 @@ def _assert_rounds(s, got, want):
         else:
             assert all(type(v) is float for v in p)
             assert p == tuple(map(float, exact))
+            # == does not tell -0.0 from 0.0; repr does
+            assert [repr(v) for v in p] == [repr(float(v)) for v in exact]
 
 
 def test_exact_corner_touch_single_point():
@@ -106,6 +110,77 @@ def test_exact_matches_independent_reference(s):
 @settings(max_examples=500)
 def test_exact_matches_reference_on_mixed_types(s, w):
     _assert_rounds(s, exact_clip(s, w), frac_clip(s, w))
+
+
+# Windows whose power-of-two scale differs from the unit window's, or which
+# have none (1e-300 needs 2**1049): float coordinates at the window's scale
+# are whole at it, while much finer ones, down to the smallest subnormal,
+# are not and take the lcm path, as ints and Fractions do.
+SCALED_WINDOWS = [Window(0.0, 1.0, 0.0, 1.0),
+                  Window(1e14, 1e14 + 10.0, 1e14, 1e14 + 10.0),
+                  Window(0.0, 1e160, 0.0, 1e160),
+                  Window(0.0, 1e-300, 0.0, 1e-300)]
+FINE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1e-30, -1e-30]
+
+
+@st.composite
+def scaled_window_segments(draw):
+    """(window, segment): coordinates at the window's scale, much finer
+    ones, and ones snapped onto the window's edges, in any mix."""
+    w = draw(st.sampled_from(SCALED_WINDOWS))
+    region = default_region(w)
+
+    def coord(lo, hi, edges):
+        return draw(st.one_of(st.floats(lo, hi), st.sampled_from(FINE_COORDS),
+                              st.sampled_from(edges)))
+
+    xs = (region.x_left, region.x_right, (w.x_left, w.x_right))
+    ys = (region.y_bottom, region.y_top, (w.y_bottom, w.y_top))
+    return w, Segment(Point(coord(*xs), coord(*ys)),
+                      Point(coord(*xs), coord(*ys)))
+
+
+@given(scaled_window_segments())
+@settings(max_examples=600)
+def test_exact_matches_reference_at_every_scale(case):
+    w, s = case
+    _assert_rounds(s, exact_clip(s, w), frac_clip(s, w))
+
+
+NON_FINITE_WINDOWS = [W, *SCALED_WINDOWS,
+                      Window(Fraction(1, 3), 7, 0, Fraction(22, 7))]
+
+
+@pytest.mark.parametrize("w", NON_FINITE_WINDOWS)
+@pytest.mark.parametrize("bad, error", [(math.nan, ValueError),
+                                        (math.inf, OverflowError),
+                                        (-math.inf, OverflowError)])
+@pytest.mark.parametrize("index", range(4))
+def test_exact_raises_for_a_non_finite_coordinate(w, bad, error, index):
+    # the rest of the segment is the window's centre, so no same-side test
+    # rejects it and no scale makes the bad coordinate whole
+    centre = [float((w.x_left + w.x_right) / 2),
+              float((w.y_bottom + w.y_top) / 2)] * 2
+    centre[index] = bad
+    x1, y1, x2, y2 = centre
+    with pytest.raises(error) as info:
+        exact_clip(Segment(Point(x1, y1), Point(x2, y2)), w)
+    assert info.type is error
+
+
+@pytest.mark.parametrize("w", NON_FINITE_WINDOWS)
+def test_exact_rejects_beyond_one_edge_whatever_else_it_holds(w):
+    # both endpoints lie strictly beyond the same edge, which comparing the
+    # coordinates decides before any is converted
+    xl, xr, yb, yt = (float(v) for v in w)
+    inf, nan = math.inf, math.nan
+    for (x1, y1), (x2, y2) in [
+            ((-inf, yb), (xl - 1.0, yt)),      # left
+            ((xr * 2 + 1.0, -inf), (inf, inf)),  # right
+            ((xl, -inf), (inf, yb - 1.0)),      # below
+            ((-inf, inf), (nan, yt * 2 + 1.0)),  # above, with a NaN x
+            ((xl - 1.0, nan), (-inf, nan))]:    # left, with NaN ys
+        assert exact_clip(Segment(Point(x1, y1), Point(x2, y2)), w) is None
 
 
 @given(finite_segments)
@@ -534,3 +609,54 @@ def test_check_equivalence_reports_rederived(w):
         assert ((rep.decision_mismatches, rep.coordinate_mismatches,
                  rep.max_coordinate_error, rep.failures)
                 == (decisions, coordinates, worst, failures)), clipper
+
+
+# check_equivalence's reports at seed 21, 2000 segments from each window's
+# default region: (decision mismatches, coordinate mismatches,
+# repr(max_coordinate_error)) for quadclip, cs and lb.  Any change to the
+# oracle, the clippers or the corpus that moves a verdict or a worst error
+# shows here.
+GOLDEN_REPORTS = [
+    (Window(0.0, 10.0, 0.0, 10.0),
+     [(0, 0, "7.105427357601002e-15"), (0, 0, "7.105427357601002e-15"),
+      (0, 0, "4.440892098500626e-15")]),
+    (Window(0.0, 1e160, 0.0, 1e160),
+     [(419, 622, "inf"), (419, 622, "inf"), (0, 0, "4.877732109868738e+144")]),
+    (Window(0.0, 1e-300, 0.0, 1e-300),
+     [(150, 0, "9.76005786717823e-301"), (150, 0, "1e-300"),
+      (0, 0, "4.14452303e-316")]),
+    (Window(1e8, 1e8 + 10.0, 1e8, 1e8 + 10.0),
+     [(0, 90, "2.9802322387695312e-08"), (0, 144, "7.450580596923828e-08"),
+      (0, 0, "0.0")]),
+]
+
+
+@pytest.mark.parametrize("w, want", GOLDEN_REPORTS)
+def test_check_equivalence_golden_reports(w, want):
+    spec = GeneratorSpec(seed=21, count=2_000, region=default_region(w))
+    got = []
+    for cid in ("quadclip", "cs", "lb"):
+        rep = check_equivalence(cid, spec, w)
+        assert rep.cases_run == 2_000
+        assert len(rep.failures) == (rep.decision_mismatches
+                                     + rep.coordinate_mismatches)
+        got.append((rep.decision_mismatches, rep.coordinate_mismatches,
+                     repr(rep.max_coordinate_error)))
+    assert got == want
+
+
+@pytest.mark.parametrize("region", [
+    Window(-1e308, 1e308, -1e308, 1e308),
+    Window(0.0, 1.0, -1e308, 1e308),  # only the height overflows
+])
+def test_gen_and_check_refuse_a_region_whose_extent_overflows(region):
+    # the bounds are finite, but xr - xl or yt - yb is inf, so every
+    # coordinate drawn would be infinite or NaN
+    spec = GeneratorSpec(seed=5, count=200, region=region)
+    message = re.escape("sampling region width and height must be finite: "
+                        f"{region!r}")
+    with pytest.raises(ValueError, match=message):
+        gen_segments(spec)
+    for cid in ("quadclip", "cs", "lb"):
+        with pytest.raises(ValueError, match=message):
+            check_equivalence(cid, spec, W)
