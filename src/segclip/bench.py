@@ -58,14 +58,15 @@ class BenchConfig:
 
     def __post_init__(self):
         """Raise ValueError unless the window and its sampling region are
-        valid windows, sizes are positive and ascending and iterations >= 1,
-        so that a bad config fails before any pass runs."""
+        valid windows, sizes are positive and strictly ascending (a repeated
+        size would time the same corpora twice) and iterations >= 1, so that
+        a bad config fails before any pass runs."""
         validate_window(self.window)
         validate_window(self.region)  # 3x the window's extent can overflow
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError(f"sizes must be positive: {self.sizes}")
-        if list(self.sizes) != sorted(self.sizes):
-            raise ValueError(f"sizes must be ascending: {self.sizes}")
+        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ValueError(f"sizes must be strictly ascending: {self.sizes}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1: {self.iterations}")
 

@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the timing comparison suite")
     p_bench.add_argument("-o", "--output", required=True, help="output CSV file")
     p_bench.add_argument("--sizes", type=_sizes_arg, default=None,
-                         metavar="N,N,...", help="corpus sizes (ascending)")
+                         metavar="N,N,...",
+                         help="corpus sizes (strictly ascending)")
     p_bench.add_argument("--iterations", type=int, default=10,
                          help="measured passes per size (default 10)")
     p_bench.add_argument("--seed", type=int, default=1, help="base seed (default 1)")

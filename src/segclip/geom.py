@@ -131,15 +131,18 @@ def validate_window(w: Window) -> Window:
 # Lines whose first non-blank character is `#` are comments; blank lines are
 # ignored.  Files are UTF-8.
 
+_COORD = "%.9g"  # one coordinate: 9 significant digits
+_LINE = " ".join([_COORD] * 4)  # one segment: x1 y1 x2 y2
+
+
 def format_coord(v: float) -> str:
     """Fixed 9-significant-digit rendering, stable under reparsing."""
-    return format(float(v), ".9g")
+    return _COORD % float(v)
 
 
 def segment_line(s: Segment) -> str:
     (x1, y1), (x2, y2) = s
-    return (f"{format_coord(x1)} {format_coord(y1)} "
-            f"{format_coord(x2)} {format_coord(y2)}")
+    return _LINE % (float(x1), float(y1), float(x2), float(y2))
 
 
 def _line_error(tokens: list[str], line_number: int) -> SegmentFormatError:
@@ -188,8 +191,7 @@ def read_segments(path) -> list[Segment]:
 
 
 def write_segments(path, segments: Iterable[Segment]) -> None:
-    # one format per line; the same bytes as joining segment_line's lines
-    line = "%.9g %.9g %.9g %.9g\n"
+    line = _LINE + "\n"  # segment_line's format
     with open(path, "w", encoding="utf-8") as f:
         write = f.write
         for (x1, y1), (x2, y2) in segments:

@@ -4,14 +4,15 @@
 half-planes in integer arithmetic, and only with those an endpoint lies
 strictly beyond.  Every finite double is a rational with a power-of-two
 denominator, so the conversion is lossless: float coordinates are scaled by
-one power of two per window, chosen from the window's magnitude, and any
+one power of two per window, chosen from the window's magnitude and applied
+as two float factors (so that [0,1e-300]^2's 2**1049 works too), and any
 coordinate that scale leaves fractional (or an int, a Fraction, or a window
 with non-dyadic bounds) goes over the lcm of all denominators instead.  The
-decision is exact, and each moved endpoint coordinate off the window edge is
-rounded once, to the nearest float, which makes it a trustworthy referee
-for the floating-point clippers:
-`check_equivalence` replays a seeded corpus through a clipper
-and the oracle and reports any disagreement.
+latest window's frame is kept for the next call.  The decision is exact,
+and each moved endpoint coordinate off the window edge is rounded once, to
+the nearest float, which makes it a trustworthy referee for the
+floating-point clippers: `check_equivalence` replays a seeded corpus
+through a clipper and the oracle and reports any disagreement.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from .baselines import clip_many, get_clipper
@@ -81,37 +81,46 @@ def gen_segments(spec: GeneratorSpec) -> list[Segment]:
         ]
 
 
-@lru_cache(maxsize=8)
-def _window_frame(w: Window) -> tuple:
-    """(D, XL, XR, YB, YT, S, fxl, fxr, fyb, fyt): the window's integer frame.
+def _over_lcm(values) -> tuple:
+    """(D, [v * D for v in values]): D is the lcm of the values'
+    denominators, and each v * D an int.  Raises ValueError for a NaN and
+    OverflowError for an infinity."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = math.lcm(*[q for _, q in ratios])
+    return D, [n * (D // q) for n, q in ratios]
 
-    XL..YT are the bounds as integers over the common denominator D, and
-    fxl..fyt the floats nearest them (-0.0 becomes 0.0).  When the bounds
-    are dyadic, D is 2**K, with K chosen from the window's magnitude
-    m = max(|bound|, extent) so that every float down to 2**-10 ulp(m) is
-    an integer at D, and S is float(D); otherwise D is the lcm of the
-    bounds' denominators and S is NaN, so that no coordinate passes the
-    `(x * S).is_integer()` test.  Numerically equal windows have equal
-    frames, so they may share a cache entry.
+
+def _window_frame(w: Window) -> tuple:
+    """(D, XL, XR, YB, YT, S1, S2, fxl, fxr, fyb, fyt): the window's integer
+    frame.
+
+    XL..YT are the bounds as integers over D, and fxl..fyt the floats
+    nearest them (-0.0 becomes 0.0).  When the bounds are dyadic, D is 2**K,
+    with K chosen from the window's magnitude m = max(|bound|, extent) so
+    that every float down to 2**-10 ulp(m) is an integer at D, and S1 * S2
+    is D split into two float factors, S1 = 2**min(K, 1023) and
+    S2 = 2**max(K - 1023, 0): for a float x, x * S1 * S2 is then x * D
+    exactly, or an overflow to inf.  For float bounds K is at most 1136;
+    when the bounds are not dyadic, or are Fractions that need K > 2046,
+    S1 and S2 are NaN, so that no coordinate passes the
+    `(x * S1 * S2).is_integer()` test.
     """
-    ratios = [v.as_integer_ratio() for v in w]  # raises for NaN and inf
-    D = math.lcm(*(q for _, q in ratios))
-    XL, XR, YB, YT = (n * (D // q) for n, q in ratios)
-    S = math.nan
+    D, (XL, XR, YB, YT) = _over_lcm(w)
+    S1 = S2 = math.nan
     k = D.bit_length() - 1
     if D == 1 << k:
         # frexp(m)[1], the binary exponent of the window's magnitude
         e = max(abs(XL), abs(XR), abs(YB), abs(YT),
                 XR - XL, YT - YB).bit_length() - k
-        K = min(max(k, 63 - e), 1023)  # 2**1023 is the largest finite one
-        if K >= k:
-            D <<= K - k
-            XL, XR, YB, YT = (v << (K - k) for v in (XL, XR, YB, YT))
-            S = float(D)
-    return D, XL, XR, YB, YT, S, XL / D, XR / D, YB / D, YT / D
+        K = max(k, 63 - e)
+        D <<= K - k
+        XL, XR, YB, YT = (v << (K - k) for v in (XL, XR, YB, YT))
+        if K < 2047:
+            S1, S2 = 2.0 ** min(K, 1023), 2.0 ** max(K - 1023, 0)
+    return D, XL, XR, YB, YT, S1, S2, XL / D, XR / D, YB / D, YT / D
 
 
-_last_frame = (None, None)  # (window, its frame): skips the lru lookup
+_last_frame = (None, None)  # (window, its frame) for the last window seen
 
 
 def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
@@ -131,11 +140,13 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
     float, int and Fraction (so such a segment is rejected even when it
     holds an infinity, or a NaN on the other axis).  Every other segment
     is converted to integers: when all four coordinates are floats whole
-    at the window's power-of-two scale S (see `_window_frame`), each is
-    multiplied by S; otherwise (int, Fraction, finer floats, or a window
-    without such a scale) all go over the lcm of their denominators and
-    the window's, where a NaN coordinate raises ValueError and an
-    infinite one OverflowError.
+    at the window's power-of-two scale S1 * S2 (see `_window_frame`), each
+    is multiplied by it; otherwise (int, Fraction, finer floats, or a
+    window without such a scale) all go over the lcm of their denominators
+    and the window's, where a NaN coordinate raises ValueError and an
+    infinite one OverflowError.  At a window that is not hashable, such as
+    a list, which could change under its cached frame, they raise
+    TypeError.
     """
     global _last_frame
     (x1, y1), (x2, y2) = s
@@ -145,27 +156,21 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
         return None
     last, frame = _last_frame
     if last is not w:
+        hash(w)  # TypeError for a mutable window, which could change later
         frame = _window_frame(w)
         _last_frame = (w, frame)
-    D, XL, XR, YB, YT, S, fxl, fxr, fyb, fyt = frame
+    D, XL, XR, YB, YT, S1, S2, fxl, fxr, fyb, fyt = frame
     if (x1.__class__ is float and y1.__class__ is float
             and x2.__class__ is float and y2.__class__ is float
-            and (X1 := x1 * S).is_integer() and (Y1 := y1 * S).is_integer()
-            and (X2 := x2 * S).is_integer() and (Y2 := y2 * S).is_integer()):
+            and (X1 := x1 * S1 * S2).is_integer()
+            and (Y1 := y1 * S1 * S2).is_integer()
+            and (X2 := x2 * S1 * S2).is_integer()
+            and (Y2 := y2 * S1 * S2).is_integer()):
         X1, Y1, X2, Y2 = int(X1), int(Y1), int(X2), int(Y2)
         scale = D
     else:
-        n1, d1 = x1.as_integer_ratio()
-        n2, d2 = y1.as_integer_ratio()
-        n3, d3 = x2.as_integer_ratio()
-        n4, d4 = y2.as_integer_ratio()
-        scale = math.lcm(D, d1, d2, d3, d4)
-        k = scale // D
-        XL, XR, YB, YT = XL * k, XR * k, YB * k, YT * k
-        X1 = n1 * (scale // d1)
-        Y1 = n2 * (scale // d2)
-        X2 = n3 * (scale // d3)
-        Y2 = n4 * (scale // d4)
+        scale, (X1, Y1, X2, Y2, XL, XR, YB, YT) = _over_lcm(
+            (x1, y1, x2, y2, xl, xr, yb, yt))
     dx = X2 - X1
     dy = Y2 - Y1
     # Clipped parameter range [lo, hi] as integer fractions, denominators

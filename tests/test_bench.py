@@ -176,6 +176,8 @@ def test_run_suite_validation():
     with pytest.raises(ValueError):
         run_suite(BenchConfig(sizes=(100, 10), iterations=1))
     with pytest.raises(ValueError):
+        run_suite(BenchConfig(sizes=(10, 10), iterations=1))
+    with pytest.raises(ValueError):
         run_suite(BenchConfig(sizes=(10,), iterations=0))
     with pytest.raises(ValueError):
         run_suite(BenchConfig(sizes=(), iterations=1))

@@ -406,8 +406,11 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
                  "x_right=inf, y_bottom=-inf, y_top=inf)", None,
                  id="verify-region-overflows"),
     pytest.param("bench -o {tmp}/out --sizes 100,10",
-                 "sizes must be ascending: (100, 10)", None,
+                 "sizes must be strictly ascending: (100, 10)", None,
                  id="descending-sizes"),
+    pytest.param("bench -o {tmp}/out --sizes 10,10 --iterations 1",
+                 "sizes must be strictly ascending: (10, 10)", None,
+                 id="repeated-sizes"),
     pytest.param("bench -o {tmp}/out --sizes 0,10",
                  "sizes must be positive: (0, 10)", None,
                  id="non-positive-sizes"),

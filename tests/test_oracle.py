@@ -112,14 +112,17 @@ def test_exact_matches_reference_on_mixed_types(s, w):
     _assert_rounds(s, exact_clip(s, w), frac_clip(s, w))
 
 
-# Windows whose power-of-two scale differs from the unit window's, or which
-# have none (1e-300 needs 2**1049): float coordinates at the window's scale
-# are whole at it, while much finer ones, down to the smallest subnormal,
-# are not and take the lcm path, as ints and Fractions do.
+# Windows whose power-of-two scale differs from the unit window's, down to
+# ones beyond the largest finite float (1e-300 needs 2**1049 and 1e-310
+# 2**1092, each applied as two float factors): float coordinates at the
+# window's scale are whole at it, while much finer ones, down to the
+# smallest subnormal, are not and take the lcm path, as ints and Fractions
+# do.
 SCALED_WINDOWS = [Window(0.0, 1.0, 0.0, 1.0),
                   Window(1e14, 1e14 + 10.0, 1e14, 1e14 + 10.0),
                   Window(0.0, 1e160, 0.0, 1e160),
-                  Window(0.0, 1e-300, 0.0, 1e-300)]
+                  Window(0.0, 1e-300, 0.0, 1e-300),
+                  Window(0.0, 1e-310, 0.0, 1e-310)]
 FINE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1e-30, -1e-30]
 
 
@@ -145,6 +148,21 @@ def scaled_window_segments(draw):
 def test_exact_matches_reference_at_every_scale(case):
     w, s = case
     _assert_rounds(s, exact_clip(s, w), frac_clip(s, w))
+
+
+@pytest.mark.parametrize("k", [1500, 2000])
+def test_exact_matches_reference_at_a_window_finer_than_any_float(k):
+    # Fraction bounds over 2**k: a scale of 2**1562 is still two float
+    # factors, at which subnormals are whole; 2**2062 is not, and every
+    # float coordinate goes over the lcm
+    u = Fraction(1, 2**k)
+    w = Window(u, 3 * u, 0, 2 * u)
+    tiny = 5e-324
+    for s in [Segment(Point(0.0, 0.0), Point(tiny, tiny)),
+              Segment(Point(0.0, u), Point(tiny, u)),
+              Segment(Point(-tiny, -1.0), Point(1.0, tiny)),
+              Segment(Point(2 * u, -1), Point(2 * u, 1))]:
+        _assert_rounds(s, exact_clip(s, w), frac_clip(s, w))
 
 
 NON_FINITE_WINDOWS = [W, *SCALED_WINDOWS,
@@ -181,6 +199,21 @@ def test_exact_rejects_beyond_one_edge_whatever_else_it_holds(w):
             ((-inf, inf), (nan, yt * 2 + 1.0)),  # above, with a NaN x
             ((xl - 1.0, nan), (-inf, nan))]:    # left, with NaN ys
         assert exact_clip(Segment(Point(x1, y1), Point(x2, y2)), w) is None
+
+
+def test_exact_never_clips_against_a_stale_window():
+    # a window changed in place after a call is never clipped against the
+    # frame of its old bounds; a mutable window may instead be refused
+    s = Segment(Point(-5.0, 1.0), Point(5.0, 1.0))
+    w = [0.0, 10.0, 0.0, 10.0]
+    for top, want in ((10.0, ((0.0, 1.0), (5.0, 1.0))),
+                      (2.0, ((0.0, 1.0), (2.0, 1.0)))):
+        w[1] = w[3] = top
+        try:
+            got = exact_clip(s, w)
+        except TypeError:
+            continue
+        assert got == want
 
 
 @given(finite_segments)
