@@ -10,8 +10,10 @@ Each command imports the modules that only it needs (`svg`, `bench`,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from itertools import chain
 
 from .baselines import CLIPPERS, UnknownClipperError, clip_many, get_clipper
 from .geom import (DEFAULT_WINDOW, Counters, NonFiniteError,
@@ -132,14 +134,18 @@ def _clip_file(args):
     except SegmentFormatError as exc:
         raise _Failure(f"{args.input}: {exc}")
     clip = get_clipper(args.algo)
-    clipped = [r for r in clip_many(clip, segments, args.window, Counters())
-               if r is not None]
-    for (x1, y1), (x2, y2) in clipped:
-        # as in the parser: a zero for finite v, NaN otherwise
-        if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
-            raise _Failure(
-                f"{args.algo} output segment (({x1!r}, {y1!r}), "
-                f"({x2!r}, {y2!r})): a coordinate is not finite")
+    clipped = list(filter(None, clip_many(clip, segments, args.window,
+                                          Counters())))
+    # a NaN or an infinity makes the sum non-finite; so does a sum of
+    # finite coordinates that overflows, which the walk lets through
+    coordinates = chain.from_iterable(chain.from_iterable(clipped))
+    if not math.isfinite(sum(coordinates)):
+        for (x1, y1), (x2, y2) in clipped:
+            # a zero for finite v, NaN otherwise
+            if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
+                raise _Failure(
+                    f"{args.algo} output segment (({x1!r}, {y1!r}), "
+                    f"({x2!r}, {y2!r})): a coordinate is not finite")
     return segments, clipped
 
 

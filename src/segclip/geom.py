@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import math
+from itertools import chain, islice, repeat
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -145,10 +146,12 @@ def segment_line(s: Segment) -> str:
     return _LINE % (float(x1), float(y1), float(x2), float(y2))
 
 
-def _line_error(tokens: list[str], line_number: int) -> SegmentFormatError:
-    """The SegmentFormatError for the first fault of a line that the fast
-    path of `parse_segments` refused: the arity, then each token in column
-    order."""
+def _line_error(tokens: list[str],
+                line_number: int) -> Optional[SegmentFormatError]:
+    """The SegmentFormatError for the first fault of a line's tokens: the
+    arity, then each token in column order; None for a valid line.
+    `parse_segments` calls it on each line of a chunk that failed its
+    checks, to locate the chunk's first faulty line."""
     if len(tokens) != 4:
         return SegmentFormatError(
             line_number, f"expected 4 coordinates, got {len(tokens)}")
@@ -160,27 +163,50 @@ def _line_error(tokens: list[str], line_number: int) -> SegmentFormatError:
         if not math.isfinite(v):
             return SegmentFormatError(
                 line_number, f"coordinate must be finite: {token!r}")
+    return None
+
+
+_CHUNK = 1024  # lines converted per step; one chunk's rows live at a time
 
 
 def parse_segments(lines: Iterable[str]) -> list[Segment]:
     """Parse the segment text format; raises SegmentFormatError with a 1-based
-    line number on the first malformed line."""
+    line number on the first malformed line.
+
+    Lines are converted a chunk at a time, with one `map(float)` over the
+    chunk's tokens and one check each of arity and finiteness.  Only a
+    chunk that fails a check is scanned line by line, to locate its first
+    error.  Line numbers count the items of `lines`, so a file's lines end
+    only at LF, CR and CRLF (`str.splitlines` would also break at form
+    feeds and other separators).
+    """
     segments = []
-    append = segments.append
+    extend = segments.extend
     new = tuple.__new__  # skips the named tuples' own __new__
-    for line_number, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
-            continue
+    lines = iter(lines)
+    first = 1  # line number of the chunk's first line
+    while rows := list(map(str.split, islice(lines, _CHUNK))):
+        data = [r for r in rows if r and r[0][0] != "#"]
         try:
-            x1, y1, x2, y2 = map(float, tokens)
-        except ValueError:  # wrong arity or a token that is not a number
-            x1 = y1 = x2 = y2 = math.nan
-        # v * 0.0 is a zero for finite v and NaN for NaN or an infinity, so
-        # this refuses every line with a fault, and only such lines
-        if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
-            raise _line_error(tokens, line_number)
-        append(new(Segment, (new(Point, (x1, y1)), new(Point, (x2, y2)))))
+            flat = list(map(float, chain.from_iterable(data)))
+        except ValueError:  # a token that is not a number
+            flat = None
+        # no row above 4 tokens and 4 per row in all: 4 in every row.  A
+        # NaN or an infinity makes the sum non-finite; so does a sum of
+        # finite coordinates that overflows, which the scan lets through
+        if (flat is None or len(flat) != 4 * len(data)
+                or max(map(len, data), default=0) > 4
+                or not math.isfinite(sum(flat))):
+            for line_number, tokens in enumerate(rows, first):
+                if tokens and tokens[0][0] != "#":
+                    error = _line_error(tokens, line_number)
+                    if error is not None:
+                        raise error
+        xy = iter(flat)
+        points = map(new, repeat(Point), zip(xy, xy))
+        extend(map(new, repeat(Segment), zip(points, points)))
+        first += len(rows)
+        del rows, data, flat  # before the next chunk is read
     return segments
 
 

@@ -2,14 +2,15 @@
 
 Written the dumbest possible way -- fractions.Fraction end to end, no code
 shared with segclip.oracle (which scales to big integers internally).  The
-float helpers after it serve test filters and assertions only, and
-`checksum_segments` keeps the bench checksum's plain loop.
+float helpers after it serve test filters and assertions only,
+`checksum_segments` keeps the bench checksum's plain loop, and
+`parse_segments` the segment parser's loop over single lines.
 """
 
 import math
 from fractions import Fraction
 
-from segclip import Point
+from segclip import Point, Segment, SegmentFormatError
 
 
 def frac_orientation(p1, p2, corner):
@@ -91,3 +92,30 @@ def checksum_segments(segments) -> float:
                          f"({bx!r}, {by!r})): a coordinate is not finite"
                          ) from None
     return micro / 1e6
+
+
+def parse_segments(lines):
+    """`segclip.parse_segments` one line at a time: the same segments, and
+    the same SegmentFormatError for the first faulty line."""
+    segments = []
+    for line_number, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if len(tokens) != 4:
+            raise SegmentFormatError(
+                line_number, f"expected 4 coordinates, got {len(tokens)}")
+        coords = []
+        for token in tokens:
+            try:
+                v = float(token)
+            except ValueError:
+                raise SegmentFormatError(
+                    line_number, f"not a number: {token!r}") from None
+            if not math.isfinite(v):
+                raise SegmentFormatError(
+                    line_number, f"coordinate must be finite: {token!r}")
+            coords.append(v)
+        x1, y1, x2, y2 = coords
+        segments.append(Segment(Point(x1, y1), Point(x2, y2)))
+    return segments

@@ -78,6 +78,16 @@ def test_clip_algo_selection_agrees_numerically(tmp_path):
             assert abs(u - v) <= 1e-8 and abs(u - w) <= 1e-8
 
 
+def test_clip_writes_back_coordinates_whose_sum_overflows(tmp_path, capsys):
+    # each coordinate is finite, though their sum is not
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text("9e+307 9e+307 9e+307 9e+307\n" * 2)
+    assert run_cli("clip", str(src), "-o", str(dst),
+                   "--window=-1e308,-1e308,1e308,1e308") == 0
+    assert dst.read_bytes() == src.read_bytes()
+    assert capsys.readouterr().out == "read 2 accepted 2 rejected 0\n"
+
+
 def test_clip_runs_with_gc_paused(tmp_path, monkeypatch):
     seen = []
     read, write = cli.read_segments, cli.write_segments

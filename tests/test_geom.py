@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from segclip import (Counters, DegenerateWindowError, NonFiniteError, Point,
@@ -13,6 +13,7 @@ from segclip import (Counters, DegenerateWindowError, NonFiniteError, Point,
 from segclip.geom import format_coord, gc_paused, segment_line
 
 from _reference import corners, window_contains
+from _reference import parse_segments as reference_parse
 
 
 def test_validate_window_ok():
@@ -92,6 +93,10 @@ def test_parse_error_wrong_arity():
     with pytest.raises(SegmentFormatError) as exc:
         parse_segments(["0 0 1 1", "1 2 3"])
     assert exc.value.line_number == 2
+    # 5 and 3 coordinates make 4 a line on average
+    with pytest.raises(SegmentFormatError) as exc:
+        parse_segments(["0 0 1 1", "1 2 3 4 5", "1 2 3"])
+    assert str(exc.value) == "line 2: expected 4 coordinates, got 5"
 
 
 def test_parse_rejects_non_finite():
@@ -129,6 +134,99 @@ def test_parse_error_text_and_line_number(line, message):
         parse_segments(lines)
     assert exc.value.line_number == 4
     assert str(exc.value) == f"line 4: {message}"
+
+
+def _outcome(parse, lines):
+    """What `parse` made of `lines`: the repr of its result, or the type
+    and text of the error it raised."""
+    try:
+        return repr(parse(lines))
+    except SegmentFormatError as exc:
+        return f"SegmentFormatError: {exc}"
+
+
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \x0c ", "\u2028", "\x0b"])
+_ENDINGS = st.sampled_from(["", "\n", "\r\n"])
+_COORDS = st.lists(st.floats(-1e6, 1e6).map(repr), min_size=4, max_size=4)
+_ODD_TOKENS = st.sampled_from([
+    "-0", "1e-3", "9e307", "nan", "inf", "-inf", "1e309", "1_0", "abc",
+    "\u0661\u0662", "0x10", "1,5", "#"])
+
+
+def _line(tokens, sep, lead, end):
+    return lead + sep.join(tokens) + end
+
+
+def _with_odd_token(coords, column, token):
+    coords[column] = token
+    return coords
+
+
+_LEADS = st.sampled_from(["", " ", "\t"])
+_VALID_LINE = st.builds(_line, _COORDS, _SEPARATORS, _LEADS, _ENDINGS)
+_LINE = st.one_of(
+    _VALID_LINE, _VALID_LINE, _VALID_LINE,
+    st.builds(lambda lead, text, end: lead + "#" + text + end,
+              _LEADS, st.text(max_size=8), _ENDINGS),
+    st.sampled_from(["", "   ", "\t", "\n", "\r\n", "\x0c\n"]),
+    # one column of a valid line replaced
+    st.builds(_line, st.builds(_with_odd_token, _COORDS, st.integers(0, 3),
+                               _ODD_TOKENS),
+              _SEPARATORS, _LEADS, _ENDINGS),
+    st.builds(_line, st.lists(st.one_of(_ODD_TOKENS, st.just("2")),
+                              min_size=1, max_size=6),
+              _SEPARATORS, _LEADS, _ENDINGS),
+)
+
+
+# runs of repeated lines reach a few thousand lines, past several of the
+# parser's chunks, at little cost to generate
+@settings(deadline=None)
+@given(st.lists(st.tuples(_LINE, st.integers(1, 800)), max_size=5))
+def test_parse_matches_the_line_by_line_reference(runs):
+    lines = [line for line, count in runs for _ in range(count)]
+    assert _outcome(parse_segments, lines) == _outcome(reference_parse, lines)
+
+
+_VALID = "1.5 -2 3e2 4"
+
+
+@pytest.mark.parametrize("at", [1, 511, 512, 513, 1023, 1024, 1025, 2048,
+                                2049, 4096, 4097, 5000])
+def test_parse_reports_the_first_error_at_any_line(at):
+    # chunk sizes of powers of two up to 4096 lines start a chunk at one
+    # of these lines, or end one just before it
+    lines = [_VALID] * 5000 + ["also bad"]
+    lines[at - 1] = "1 2 3"
+    with pytest.raises(SegmentFormatError) as exc:
+        parse_segments(lines)
+    assert str(exc.value) == f"line {at}: expected 4 coordinates, got 3"
+
+
+def test_parse_skips_runs_of_comments_and_blank_lines():
+    lines = ([_VALID] * 1500 + ["# comment"] * 3000 + [_VALID] * 10
+             + ["", "  ", "\t\r\n"] * 1000 + [_VALID] * 10 + ["nan 0 0 0"])
+    with pytest.raises(SegmentFormatError) as exc:
+        parse_segments(lines)
+    assert str(exc.value) == "line 7521: coordinate must be finite: 'nan'"
+    segments = parse_segments(lines[:-1])
+    assert len(segments) == 1520
+    assert set(segments) == {Segment(Point(1.5, -2.0), Point(300.0, 4.0))}
+
+
+def test_parse_accepts_coordinates_whose_sum_overflows():
+    # the sum over any few of these lines is infinite, yet each coordinate
+    # is finite
+    assert parse_segments(["9e307 9e307 -9e307 9e307"] * 3000) == (
+        [Segment(Point(9e307, 9e307), Point(-9e307, 9e307))] * 3000)
+
+
+def test_read_reports_a_nan_on_the_last_line(tmp_path):
+    path = tmp_path / "segs.txt"
+    path.write_text("\n".join([_VALID] * 3000 + ["0 0 1 nan"]))  # no final \n
+    with pytest.raises(SegmentFormatError) as exc:
+        read_segments(path)
+    assert str(exc.value) == "line 3001: coordinate must be finite: 'nan'"
 
 
 def test_roundtrip_through_file(tmp_path):
