@@ -166,47 +166,88 @@ def _line_error(tokens: list[str],
     return None
 
 
-_CHUNK = 1024  # lines converted per step; one chunk's rows live at a time
+_CHUNK = 1024  # lines converted (or segments written) per step
+
+
+def _all_finite(flat: list[float]) -> bool:
+    # A NaN or an infinity makes the sum non-finite; so does a sum of finite
+    # coordinates that overflows, which the second test tells apart
+    return math.isfinite(sum(flat)) or all(map(math.isfinite, flat))
+
+
+def _whole_chunk(lines: list[str]) -> Optional[list[float]]:
+    """The coordinates of a chunk of plain data lines, split as one text;
+    None for any other chunk.
+
+    The lines are joined with " ; ", so the n - 1 separators are tokens of
+    their own.  With no `#`, 5n - 1 tokens, and every token left after
+    deleting each 5th one a finite float, none of the separators is left:
+    the deleted ones are exactly the separators, and each line held four
+    coordinates.  A `;` token of a line's own fails `float`, and a line
+    without a newline is still set apart by a separator."""
+    text = " ; ".join(lines)
+    if "#" in text:
+        return None
+    tokens = text.split()
+    if len(tokens) != 5 * len(lines) - 1:
+        return None
+    del tokens[4::5]
+    try:
+        flat = list(map(float, tokens))
+    except ValueError:  # a token that is not a number, or a separator
+        return None
+    return flat if _all_finite(flat) else None
+
+
+def _line_chunk(lines: list[str], first: int) -> list[float]:
+    """The coordinates of any chunk whose first line is number `first`,
+    split line by line: comments and blank lines are dropped, and a chunk
+    that fails a check is scanned to raise the error of its first faulty
+    line."""
+    rows = list(map(str.split, lines))
+    data = [r for r in rows if r and r[0][0] != "#"]
+    try:
+        flat = list(map(float, chain.from_iterable(data)))
+    except ValueError:  # a token that is not a number
+        flat = None
+    # no row above 4 tokens and 4 per row in all: 4 in every row
+    if (flat is None or len(flat) != 4 * len(data)
+            or max(map(len, data), default=0) > 4
+            or not _all_finite(flat)):
+        for line_number, tokens in enumerate(rows, first):
+            if tokens and tokens[0][0] != "#":
+                error = _line_error(tokens, line_number)
+                if error is not None:
+                    raise error
+    return flat
 
 
 def parse_segments(lines: Iterable[str]) -> list[Segment]:
     """Parse the segment text format; raises SegmentFormatError with a 1-based
     line number on the first malformed line.
 
-    Lines are converted a chunk at a time, with one `map(float)` over the
-    chunk's tokens and one check each of arity and finiteness.  Only a
-    chunk that fails a check is scanned line by line, to locate its first
-    error.  Line numbers count the items of `lines`, so a file's lines end
-    only at LF, CR and CRLF (`str.splitlines` would also break at form
-    feeds and other separators).
+    Lines are converted a chunk at a time.  A chunk of plain data lines is
+    split as one text, with one `str.split` and one `map(float)`; any other
+    chunk (comments, blank lines, a fault) is split line by line, and only
+    a chunk that fails a check there is scanned to locate its first error.
+    Line numbers count the items of `lines`, so a file's lines end only at
+    LF, CR and CRLF (`str.splitlines` would also break at form feeds and
+    other separators).
     """
     segments = []
     extend = segments.extend
     new = tuple.__new__  # skips the named tuples' own __new__
     lines = iter(lines)
     first = 1  # line number of the chunk's first line
-    while rows := list(map(str.split, islice(lines, _CHUNK))):
-        data = [r for r in rows if r and r[0][0] != "#"]
-        try:
-            flat = list(map(float, chain.from_iterable(data)))
-        except ValueError:  # a token that is not a number
-            flat = None
-        # no row above 4 tokens and 4 per row in all: 4 in every row.  A
-        # NaN or an infinity makes the sum non-finite; so does a sum of
-        # finite coordinates that overflows, which the scan lets through
-        if (flat is None or len(flat) != 4 * len(data)
-                or max(map(len, data), default=0) > 4
-                or not math.isfinite(sum(flat))):
-            for line_number, tokens in enumerate(rows, first):
-                if tokens and tokens[0][0] != "#":
-                    error = _line_error(tokens, line_number)
-                    if error is not None:
-                        raise error
+    while chunk := list(islice(lines, _CHUNK)):
+        flat = _whole_chunk(chunk)
+        if flat is None:
+            flat = _line_chunk(chunk, first)
         xy = iter(flat)
         points = map(new, repeat(Point), zip(xy, xy))
         extend(map(new, repeat(Segment), zip(points, points)))
-        first += len(rows)
-        del rows, data, flat  # before the next chunk is read
+        first += len(chunk)
+        del chunk, flat  # before the next chunk is read
     return segments
 
 
@@ -217,8 +258,15 @@ def read_segments(path) -> list[Segment]:
 
 
 def write_segments(path, segments: Iterable[Segment]) -> None:
-    line = _LINE + "\n"  # segment_line's format
+    """Write one `segment_line` per segment, consuming `segments` once.
+
+    Each chunk is formatted with one `%` over its flat coordinates.  `%.9g`
+    converts an int or a Fraction as `float()` does, so the bytes equal
+    those of `segment_line`."""
+    line = _LINE + "\n"
+    segments = iter(segments)
     with open(path, "w", encoding="utf-8") as f:
         write = f.write
-        for (x1, y1), (x2, y2) in segments:
-            write(line % (float(x1), float(y1), float(x2), float(y2)))
+        while chunk := list(islice(segments, _CHUNK)):
+            write((line * len(chunk))
+                  % tuple(chain.from_iterable(chain.from_iterable(chunk))))

@@ -1,5 +1,6 @@
 import gc
 import math
+from fractions import Fraction
 import tempfile
 from pathlib import Path
 
@@ -150,7 +151,7 @@ _ENDINGS = st.sampled_from(["", "\n", "\r\n"])
 _COORDS = st.lists(st.floats(-1e6, 1e6).map(repr), min_size=4, max_size=4)
 _ODD_TOKENS = st.sampled_from([
     "-0", "1e-3", "9e307", "nan", "inf", "-inf", "1e309", "1_0", "abc",
-    "\u0661\u0662", "0x10", "1,5", "#"])
+    "\u0661\u0662", "0x10", "1,5", "#", ";"])
 
 
 def _line(tokens, sep, lead, end):
@@ -201,6 +202,24 @@ def test_parse_reports_the_first_error_at_any_line(at):
     with pytest.raises(SegmentFormatError) as exc:
         parse_segments(lines)
     assert str(exc.value) == f"line {at}: expected 4 coordinates, got 3"
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])
+def test_parse_whole_chunks_match_the_reference(count):
+    # every chunk holds only data lines, and the last line has no newline
+    lines = [f"{i} -{i}.5 1e-{i % 300} {i}e{i % 300}\n" for i in range(count)]
+    lines[-1] = lines[-1].rstrip("\n")
+    assert repr(parse_segments(lines)) == repr(reference_parse(lines))
+    assert len(parse_segments(lines)) == count
+
+
+@pytest.mark.parametrize("line,message", PARSE_ERRORS)
+def test_parse_error_text_at_chunk_edges(line, message):
+    for at in (1, 1023, 1024, 1025, 2049):
+        lines = [_VALID] * 2100
+        lines[at - 1] = line
+        assert _outcome(parse_segments, lines) == (
+            f"SegmentFormatError: line {at}: {message}")
 
 
 def test_parse_skips_runs_of_comments_and_blank_lines():
@@ -283,6 +302,18 @@ def test_write_segments_matches_segment_line(segs):
         write_segments(path, segs)
         written = path.read_bytes()
     assert written == "".join(segment_line(s) + "\n" for s in segs).encode()
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_write_segments_writes_chunks_of_a_one_shot_iterable(tmp_path, count):
+    coords = [0.1, -7, Fraction(1, 3), 1e300, 2**60 + 1, -0.0, Fraction(-5, 2)]
+    segs = [Segment(Point(coords[i % 7], coords[(i + 1) % 7]),
+                    Point(coords[(i + 3) % 7], i * 0.25))
+            for i in range(count)]
+    path = tmp_path / "segs.txt"
+    write_segments(path, (s for s in segs))
+    assert path.read_bytes() == (
+        "".join(segment_line(s) + "\n" for s in segs).encode())
 
 
 # --- gc_paused ------------------------------------------------------------------
