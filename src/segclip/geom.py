@@ -146,38 +146,12 @@ def segment_line(s: Segment) -> str:
     return _LINE % (float(x1), float(y1), float(x2), float(y2))
 
 
-def _line_error(tokens: list[str],
-                line_number: int) -> Optional[SegmentFormatError]:
-    """The SegmentFormatError for the first fault of a line's tokens: the
-    arity, then each token in column order; None for a valid line.
-    `parse_segments` calls it on each line of a chunk that failed its
-    checks, to locate the chunk's first faulty line."""
-    if len(tokens) != 4:
-        return SegmentFormatError(
-            line_number, f"expected 4 coordinates, got {len(tokens)}")
-    for token in tokens:
-        try:
-            v = float(token)
-        except ValueError:
-            return SegmentFormatError(line_number, f"not a number: {token!r}")
-        if not math.isfinite(v):
-            return SegmentFormatError(
-                line_number, f"coordinate must be finite: {token!r}")
-    return None
-
-
 _CHUNK = 1024  # lines converted (or segments written) per step
 
 
-def _all_finite(flat: list[float]) -> bool:
-    # A NaN or an infinity makes the sum non-finite; so does a sum of finite
-    # coordinates that overflows, which the second test tells apart
-    return math.isfinite(sum(flat)) or all(map(math.isfinite, flat))
-
-
 def _whole_chunk(lines: list[str]) -> Optional[list[float]]:
-    """The coordinates of a chunk of plain data lines, split as one text;
-    None for any other chunk.
+    """The coordinates of a chunk of data lines, split as one text; None
+    when a line is not four finite coordinates, or is a comment or blank.
 
     The lines are joined with " ; ", so the n - 1 separators are tokens of
     their own.  With no `#`, 5n - 1 tokens, and every token left after
@@ -186,7 +160,7 @@ def _whole_chunk(lines: list[str]) -> Optional[list[float]]:
     coordinates.  A `;` token of a line's own fails `float`, and a line
     without a newline is still set apart by a separator."""
     text = " ; ".join(lines)
-    if "#" in text:
+    if "#" in text:  # a comment, or a token that is not a number
         return None
     tokens = text.split()
     if len(tokens) != 5 * len(lines) - 1:
@@ -196,40 +170,44 @@ def _whole_chunk(lines: list[str]) -> Optional[list[float]]:
         flat = list(map(float, tokens))
     except ValueError:  # a token that is not a number, or a separator
         return None
-    return flat if _all_finite(flat) else None
+    # A NaN or an infinity makes the sum non-finite; so does a sum of finite
+    # coordinates that overflows, which the second test tells apart
+    if math.isfinite(sum(flat)) or all(map(math.isfinite, flat)):
+        return flat
+    return None
 
 
-def _line_chunk(lines: list[str], first: int) -> list[float]:
-    """The coordinates of any chunk whose first line is number `first`,
-    split line by line: comments and blank lines are dropped, and a chunk
-    that fails a check is scanned to raise the error of its first faulty
-    line."""
-    rows = list(map(str.split, lines))
-    data = [r for r in rows if r and r[0][0] != "#"]
-    try:
-        flat = list(map(float, chain.from_iterable(data)))
-    except ValueError:  # a token that is not a number
-        flat = None
-    # no row above 4 tokens and 4 per row in all: 4 in every row
-    if (flat is None or len(flat) != 4 * len(data)
-            or max(map(len, data), default=0) > 4
-            or not _all_finite(flat)):
-        for line_number, tokens in enumerate(rows, first):
-            if tokens and tokens[0][0] != "#":
-                error = _line_error(tokens, line_number)
-                if error is not None:
-                    raise error
-    return flat
+def _first_error(lines: list[str], first: int) -> SegmentFormatError:
+    """The SegmentFormatError of the first faulty data line of a chunk
+    whose first line is number `first`: its arity, then each token in
+    column order.  `parse_segments` calls it only on a chunk whose data
+    lines failed `_whole_chunk`, which holds such a line."""
+    for line_number, line in enumerate(lines, first):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if len(tokens) != 4:
+            return SegmentFormatError(
+                line_number, f"expected 4 coordinates, got {len(tokens)}")
+        for token in tokens:
+            try:
+                v = float(token)
+            except ValueError:
+                return SegmentFormatError(
+                    line_number, f"not a number: {token!r}")
+            if not math.isfinite(v):
+                return SegmentFormatError(
+                    line_number, f"coordinate must be finite: {token!r}")
 
 
 def parse_segments(lines: Iterable[str]) -> list[Segment]:
     """Parse the segment text format; raises SegmentFormatError with a 1-based
     line number on the first malformed line.
 
-    Lines are converted a chunk at a time.  A chunk of plain data lines is
-    split as one text, with one `str.split` and one `map(float)`; any other
-    chunk (comments, blank lines, a fault) is split line by line, and only
-    a chunk that fails a check there is scanned to locate its first error.
+    Lines are converted a chunk at a time, each chunk as one text by
+    `_whole_chunk`, with one `str.split` and one `map(float)`.  A chunk
+    that fails is tried once more without its comment and blank lines, and
+    only a chunk that fails again is scanned to locate its first error.
     Line numbers count the items of `lines`, so a file's lines end only at
     LF, CR and CRLF (`str.splitlines` would also break at form feeds and
     other separators).
@@ -242,7 +220,10 @@ def parse_segments(lines: Iterable[str]) -> list[Segment]:
     while chunk := list(islice(lines, _CHUNK)):
         flat = _whole_chunk(chunk)
         if flat is None:
-            flat = _line_chunk(chunk, first)
+            data = [l for l in chunk if (t := l.lstrip()) and t[0] != "#"]
+            flat = _whole_chunk(data) if data else []
+            if flat is None:
+                raise _first_error(chunk, first)
         xy = iter(flat)
         points = map(new, repeat(Point), zip(xy, xy))
         extend(map(new, repeat(Segment), zip(points, points)))

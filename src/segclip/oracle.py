@@ -285,7 +285,8 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
     infinite error; accept/reject decisions must agree exactly.  Raises
     UnknownClipperError for an unknown id and ValueError unless the window
     and the spec's region are valid windows, the region's width and height
-    are finite, and the tolerance is finite and >= 0.
+    are finite, the tolerance is finite and >= 0, and the allowance is
+    finite: no error, not even a NaN output's, would exceed an infinite one.
     """
     clip = get_clipper(clipper)
     validate_window(w)
@@ -295,6 +296,9 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
         raise ValueError(
             f"tolerance must be finite and >= 0: {tolerance!r}")
     abs_tol = tolerance * max(1.0, w.extent())
+    if not math.isfinite(abs_tol):  # no error would exceed it, not even a NaN
+        raise ValueError("tolerance * max(1, window extent) must be finite: "
+                         f"{tolerance!r} * {w.extent()!r}")
     # one pause covers the corpus build, the clipping and the comparison;
     # outputs are clipped and compared `_CHUNK` segments at a time, and each
     # chunk's are freed before the next is clipped, so that no collection

@@ -121,6 +121,9 @@ PARSE_ERRORS = [
     ("nan abc 1 2", "coordinate must be finite: 'nan'"),
     ("1 inf 2 -", "coordinate must be finite: 'inf'"),
     ("1 2 0x10 1e999", "not a number: '0x10'"),
+    # a `#` inside a data line: not a comment, and not a number
+    ("1 2 3 4#", "not a number: '4#'"),
+    ("1 # 3 4", "not a number: '#'"),
     *[(_bad_column(tok, col), f"not a number: {tok!r}")
       for col in range(4) for tok in ("x", "1,5")],
     *[(_bad_column(tok, col), f"coordinate must be finite: {tok!r}")
@@ -146,7 +149,8 @@ def _outcome(parse, lines):
         return f"SegmentFormatError: {exc}"
 
 
-_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \x0c ", "\u2028", "\x0b"])
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \x0c ", "\u2028", "\x0b",
+                                "\xa0", "\x1c"])
 _ENDINGS = st.sampled_from(["", "\n", "\r\n"])
 _COORDS = st.lists(st.floats(-1e6, 1e6).map(repr), min_size=4, max_size=4)
 _ODD_TOKENS = st.sampled_from([
@@ -163,13 +167,16 @@ def _with_odd_token(coords, column, token):
     return coords
 
 
-_LEADS = st.sampled_from(["", " ", "\t"])
+# the parser drops comment and blank lines by `str.lstrip`, the reference
+# by `str.split`: leads of other whitespace pin that both agree
+_LEADS = st.sampled_from(["", " ", "\t", "\xa0", "\x1c"])
 _VALID_LINE = st.builds(_line, _COORDS, _SEPARATORS, _LEADS, _ENDINGS)
 _LINE = st.one_of(
     _VALID_LINE, _VALID_LINE, _VALID_LINE,
     st.builds(lambda lead, text, end: lead + "#" + text + end,
               _LEADS, st.text(max_size=8), _ENDINGS),
-    st.sampled_from(["", "   ", "\t", "\n", "\r\n", "\x0c\n"]),
+    st.sampled_from(["", "   ", "\t", "\n", "\r\n", "\x0c\n", "\xa0",
+                     "\x1c\r\n"]),
     # one column of a valid line replaced
     st.builds(_line, st.builds(_with_odd_token, _COORDS, st.integers(0, 3),
                                _ODD_TOKENS),

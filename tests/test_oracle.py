@@ -380,6 +380,32 @@ def test_check_equivalence_rejects_bad_tolerance(tolerance):
                           tolerance)
 
 
+@pytest.mark.parametrize("clipper, spec, w, tolerance", [
+    # the window's width overflows to inf, and so does the allowance
+    *[(cid, GeneratorSpec(1, 2000, Window(0.0, 1.7e308, 0.0, 1.7e308)),
+       Window(-1e308, 1e308, -1e308, 1e308), 1e-9)
+      for cid in ("quadclip", "cs")],
+    # 1e308 * 10 overflows
+    ("_nan", GeneratorSpec(seed=7, count=500), W, 1e308),
+])
+def test_check_equivalence_rejects_an_allowance_that_overflows(
+        monkeypatch, clipper, spec, w, tolerance):
+    # no error, not even a NaN output's inf, exceeds an infinite allowance,
+    # so every clipper would read OK; the call fails before any corpus
+    def nan_outputs(s, w, c):
+        return None if exact_clip(s, w) is None else Segment(
+            Point(math.nan, math.nan), Point(math.nan, math.nan))
+
+    def no_corpus(spec):
+        raise AssertionError("corpus built")
+
+    monkeypatch.setitem(baselines.CLIPPERS, "_nan", nan_outputs)
+    monkeypatch.setattr(oracle, "gen_segments", no_corpus)
+    with pytest.raises(ValueError, match=re.escape(
+            "tolerance * max(1, window extent) must be finite: ")):
+        check_equivalence(clipper, spec, w, tolerance)
+
+
 def test_check_equivalence_zero_tolerance_allowed():
     report = check_equivalence("quadclip", GeneratorSpec(seed=7, count=10), W,
                                0.0)
