@@ -5,6 +5,10 @@ suite to CSV, `verify` a clipper against the exact oracle.  Exit status 0 on
 success, 1 on usage or input errors, 2 when verification finds a mismatch.
 Each command imports the modules that only it needs (`svg`, `bench`,
 `oracle`) when it runs, so `clip` loads just the clipping core.
+
+Commands raise; `main` alone prints a `_Failure`, `ValueError` or
+`RuntimeError` as one `segclip: MESSAGE` line on stderr and exits 1.  Any
+other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ import sys
 from itertools import chain
 
 from .baselines import CLIPPERS, UnknownClipperError, clip_many, get_clipper
-from .geom import (DEFAULT_WINDOW, Counters, NonFiniteError,
-                   SegmentFormatError, Window, gc_paused, read_segments,
-                   validate_window, write_segments)
+from .geom import (DEFAULT_WINDOW, Counters, SegmentFormatError, Window,
+                   gc_paused, read_segments, validate_window, write_segments)
 
 USAGE_ERROR = 1
 VERIFY_MISMATCH = 2
@@ -160,12 +163,9 @@ def cmd_clip(args) -> int:
 def cmd_render(args) -> int:
     from .svg import render_svg
     segments, clipped = _clip_file(args)
-    try:
-        svg = render_svg(segments, clipped, args.window)
-    # a viewport too wide or tall for floats; the SVG is built before
-    # the output file is opened, so none is written
-    except NonFiniteError as exc:
-        raise _Failure(exc)
+    # the SVG is built before the output file is opened, so a viewport too
+    # wide or tall for floats writes none
+    svg = render_svg(segments, clipped, args.window)
     _write(args.output, _write_text, svg)
     print(f"rendered {len(segments)} segments ({len(clipped)} clipped) "
           f"to {args.output}")
@@ -174,15 +174,12 @@ def cmd_render(args) -> int:
 
 def cmd_bench(args) -> int:
     from . import bench
-    try:
-        config = bench.BenchConfig(
-            sizes=args.sizes or bench.DEFAULT_SIZES,
-            iterations=args.iterations,
-            seed=args.seed,
-            window=args.window,
-        )
-    except ValueError as exc:
-        raise _Failure(exc)
+    config = bench.BenchConfig(
+        sizes=args.sizes or bench.DEFAULT_SIZES,
+        iterations=args.iterations,
+        seed=args.seed,
+        window=args.window,
+    )
     # an unwritable path fails before the suite runs; appending nothing
     # keeps the previous CSV should the suite fail, and a file the probe
     # created is removed again, after an interrupt too
@@ -190,13 +187,9 @@ def cmd_bench(args) -> int:
     _write(args.output, _write_text, "", "a")
     try:
         rows = bench.run_suite(config)
-    except BaseException as exc:
+    except BaseException:
         if not existed:
             os.remove(args.output)
-        # ValueError: an output coordinate the checksum rejects;
-        # RuntimeError: clippers whose checksums disagree
-        if isinstance(exc, (ValueError, RuntimeError)):
-            raise _Failure(exc)
         raise
     _write(args.output, _write_text, bench.rows_to_csv(rows))
     print(bench.format_table(rows))
@@ -207,11 +200,7 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     from .oracle import GeneratorSpec, check_equivalence, default_region
     spec = GeneratorSpec(args.seed, args.count, default_region(args.window))
-    try:
-        report = check_equivalence(args.algo, spec, args.window)
-    # a sampling region, 3x the window's extent, that overflows
-    except ValueError as exc:
-        raise _Failure(exc)
+    report = check_equivalence(args.algo, spec, args.window)
     print(report.summary())
     if args.failures:
         # written even when empty, so no earlier run's inputs remain
@@ -234,7 +223,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except UnknownClipperError:
         message = f"unknown algorithm: {args.algo}"
-    except _Failure as exc:
+    except (_Failure, ValueError, RuntimeError) as exc:
         message = exc
     print(f"segclip: {message}", file=sys.stderr)
     return USAGE_ERROR

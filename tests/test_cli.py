@@ -110,18 +110,25 @@ def test_clip_runs_with_gc_paused(tmp_path, monkeypatch):
     assert gc.isenabled()
 
 
+def _type_error(s, w, c):
+    raise TypeError("a bug in a clipper, not a refusal")
+
+
 @pytest.mark.parametrize("gc_enabled", [True, False])
 @pytest.mark.parametrize("argv, code", [
     pytest.param("clip {tmp}/in.txt -o {tmp}/out", 0, id="clip-ok"),
     pytest.param("clip {tmp}/bad.txt -o {tmp}/out", 1, id="clip-parse-error"),
-    pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo nln", 1,
+    pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo no-such-algo", 1,
                  id="clip-unknown-algo"),
     pytest.param("clip {tmp}/in.txt -o {tmp}/missing-dir/out", 1,
                  id="clip-unwritable"),
+    # a bug is no refusal: it leaves `main` as itself
+    pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo _type_error",
+                 TypeError, id="clip-type-error"),
     pytest.param("render {tmp}/in.txt -o {tmp}/out", 0, id="render-ok"),
     pytest.param("render {tmp}/bad.txt -o {tmp}/out", 1,
                  id="render-parse-error"),
-    pytest.param("render {tmp}/in.txt -o {tmp}/out --algo nln", 1,
+    pytest.param("render {tmp}/in.txt -o {tmp}/out --algo no-such-algo", 1,
                  id="render-unknown-algo"),
     pytest.param("render {tmp}/in.txt -o {tmp}/missing-dir/out", 1,
                  id="render-unwritable"),
@@ -134,13 +141,21 @@ def test_clip_runs_with_gc_paused(tmp_path, monkeypatch):
     pytest.param("verify --count 10 --window 0,0,1e308,1e308", 1,
                  id="verify-region-overflows"),
 ])
-def test_cli_leaves_gc_state_alone(tmp_path, capsys, argv, code, gc_enabled):
+def test_cli_leaves_gc_state_alone(tmp_path, capsys, monkeypatch, argv, code,
+                                   gc_enabled):
     (tmp_path / "in.txt").write_text("-5 5 5 5\n")
     (tmp_path / "bad.txt").write_text("abc\n")
+    argv = argv.format(tmp=tmp_path).split()
+    if code is TypeError:  # only here: bench runs every registered clipper
+        monkeypatch.setitem(baselines.CLIPPERS, "_type_error", _type_error)
     was_enabled = gc.isenabled()
     (gc.enable if gc_enabled else gc.disable)()
     try:
-        assert run_cli(*argv.format(tmp=tmp_path).split()) == code
+        if code is TypeError:
+            with pytest.raises(TypeError):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == code
         assert gc.isenabled() is gc_enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
@@ -291,6 +306,8 @@ def _interrupt(s, w, c):
     pytest.param(_overflowing_clip, None, id="no-previous-file"),
     pytest.param(_interrupt, "previous run\n", id="interrupted"),
     pytest.param(_interrupt, None, id="interrupted-no-previous-file"),
+    pytest.param(_type_error, "previous run\n", id="type-error"),
+    pytest.param(_type_error, None, id="type-error-no-previous-file"),
 ])
 def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch,
                                              fake_clipper, previous):
@@ -299,8 +316,10 @@ def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch,
     if previous is not None:
         dst.write_text(previous)
     argv = ("bench", "-o", str(dst), "--sizes", "10", "--iterations", "1")
-    if fake_clipper is _interrupt:  # an interrupt is not a `segclip:` line
-        with pytest.raises(KeyboardInterrupt):
+    # neither an interrupt nor a bug is a `segclip:` line
+    raised = {_interrupt: KeyboardInterrupt, _type_error: TypeError}
+    if fake_clipper in raised:
+        with pytest.raises(raised[fake_clipper]):
             run_cli(*argv)
     else:
         assert run_cli(*argv) == 1
@@ -396,12 +415,15 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
     pytest.param("clip {tmp}/bad.txt -o {tmp}/out",
                  "{tmp}/bad.txt: line 1: expected 4 coordinates, got 1", None,
                  id="clip-parse-error"),
-    pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo nln",
-                 "unknown algorithm: nln", None, id="clip-unknown-algo"),
-    pytest.param("render {tmp}/in.txt -o {tmp}/out --algo nln",
-                 "unknown algorithm: nln", None, id="render-unknown-algo"),
-    pytest.param("verify --count 10 --algo nln",
-                 "unknown algorithm: nln", None, id="verify-unknown-algo"),
+    pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo no-such-algo",
+                 "unknown algorithm: no-such-algo", None,
+                 id="clip-unknown-algo"),
+    pytest.param("render {tmp}/in.txt -o {tmp}/out --algo no-such-algo",
+                 "unknown algorithm: no-such-algo", None,
+                 id="render-unknown-algo"),
+    pytest.param("verify --count 10 --algo no-such-algo",
+                 "unknown algorithm: no-such-algo", None,
+                 id="verify-unknown-algo"),
     pytest.param("clip {tmp}/in.txt -o {tmp}/missing-dir/out", _NO_DIR, None,
                  id="clip-unwritable"),
     pytest.param("render {tmp}/in.txt -o {tmp}/missing-dir/out", _NO_DIR,
