@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .baselines import CLIPPERS, clip_many, get_clipper
 from .geom import (DEFAULT_WINDOW, Counters, Segment, Window, gc_paused,
@@ -84,15 +84,18 @@ def pass_seed(base_seed: int, size: int, pass_index: int) -> int:
     return (base_seed * 1_000_003 + size) * 1_009 + pass_index
 
 
-def checksum_segments(segments: list[Segment]) -> float:
+def checksum_segments(segments: Iterable[Segment]) -> float:
     """Order-independent sum of coordinates, each rounded to 6 decimals:
     the integers `round(v * 1e6)`, summed exactly, over 1e6.  Raises
     ValueError naming the first segment with a coordinate v for which
     v * 1e6 is not finite.
 
     `float.__round__` is `round` without the builtin's dispatch; `v * 1e6`
-    is a float for float, int and `Fraction` coordinates alike.
+    is a float for float, int and `Fraction` coordinates alike.  Any
+    iterable is taken: a non-list is listed first, so it can be walked twice.
     """
+    if not isinstance(segments, list):
+        segments = list(segments)
     r = float.__round__
     try:
         micro = sum([r(ax * 1e6) + r(ay * 1e6) + r(bx * 1e6) + r(by * 1e6)
@@ -106,7 +109,6 @@ def checksum_segments(segments: list[Segment]) -> float:
                     f"cannot checksum output segment (({ax!r}, {ay!r}), "
                     f"({bx!r}, {by!r})): a coordinate is not finite"
                 ) from None
-        raise
     return micro / 1e6
 
 

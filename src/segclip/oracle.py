@@ -243,26 +243,7 @@ class EquivalenceReport:
                 f"max coordinate error {self.max_coordinate_error:.3e}")
 
 
-_cached = None  # ((spec, w, clip_exact), segments, exact results) or None
-
-
-def _corpus_with_oracle(spec: GeneratorSpec, w: Window, clip_exact):
-    """Corpus plus per-segment exact results, cached so that checking several
-    clippers against the same corpus prices the oracle only once.  Callers
-    check all their clippers on one corpus before the next, so only the
-    latest is kept, and dropped before the next is built.  `clip_exact` is
-    the `exact_clip` the caller sees (this module's own, a test's spy or a
-    tracing wrapper), called once per segment in order, and part of the key,
-    compared with `==`.  A build that raises leaves the cache empty.  Its
-    caller, `check_equivalence`, pauses cyclic GC around the build."""
-    global _cached
-    key = (spec, w, clip_exact)
-    entry = _cached  # read once, so that no caller mixes two entries
-    if entry is None or entry[0] != key:
-        _cached = entry = None
-        segments = gen_segments(spec)
-        _cached = entry = (key, segments, [clip_exact(s, w) for s in segments])
-    return entry[1], entry[2]
+_cached = None  # ((spec, w, exact_clip), segments, exact results) or None
 
 
 def _endpoint_error(out: Segment, exact: Segment) -> float:
@@ -288,6 +269,7 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
     are finite, the tolerance is finite and >= 0, and the allowance is
     finite: no error, not even a NaN output's, would exceed an infinite one.
     """
+    global _cached
     clip = get_clipper(clipper)
     validate_window(w)
     # a default region can overflow where the window does not
@@ -304,7 +286,16 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
     # chunk's are freed before the next is clipped, so that no collection
     # rescans them and at most one chunk of them is alive
     with gc_paused():
-        segments, exacts = _corpus_with_oracle(spec, w, exact_clip)
+        # one corpus checked by several clippers pays for the oracle once;
+        # only the latest is kept, and it is dropped before the next is built
+        key = (spec, w, exact_clip)
+        entry = _cached
+        if entry is None or entry[0] != key:
+            _cached = entry = None
+            segments = gen_segments(spec)
+            _cached = entry = (key, segments,
+                               [exact_clip(s, w) for s in segments])
+        _, segments, exacts = entry
         report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
                                    cases_run=len(segments))
         counters = Counters()

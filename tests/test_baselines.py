@@ -215,4 +215,4 @@ def test_registry_ids_and_order():
 
 def test_registry_unknown_clipper():
     with pytest.raises(UnknownClipperError):
-        get_clipper("nln")
+        get_clipper("no-such-algo")

@@ -48,9 +48,10 @@ def test_checksum_names_a_non_finite_segment(bad):
     message = (f"cannot checksum output segment ((5.0, 6.0), ({bad!r}, 8.0)): "
                "a coordinate is not finite")
     for checksum in (checksum_segments, reference_checksum):
-        with pytest.raises(ValueError) as info:
-            checksum(segs)
-        assert str(info.value) == message
+        for given in (segs, iter(segs)):  # a list, and a one-shot iterable
+            with pytest.raises(ValueError) as info:
+                checksum(given)
+            assert str(info.value) == message
 
 
 # coordinates whose v * 1e6 is a round-half-to-even tie (most of the

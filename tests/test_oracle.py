@@ -368,7 +368,7 @@ def test_check_equivalence_empty_corpus():
 
 def test_check_equivalence_unknown_clipper():
     with pytest.raises(UnknownClipperError):
-        check_equivalence("nln", GeneratorSpec(seed=7, count=10), W)
+        check_equivalence("no-such-algo", GeneratorSpec(seed=7, count=10), W)
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), math.inf, -math.inf,
@@ -468,6 +468,45 @@ def test_check_equivalence_keeps_only_the_latest_corpus(monkeypatch):
         assert check_equivalence("quadclip", spec, W).ok
     assert calls == (gen_segments(first) + gen_segments(second)
                      + gen_segments(first))
+
+
+def test_check_equivalence_keeps_no_corpus_whose_build_raised(monkeypatch):
+    # an oracle that raises mid-build leaves nothing cached: checked again
+    # with the same oracle, the spec's whole corpus is built anew
+    calls = _count_exact_clips(monkeypatch)
+    spy, raised = oracle.exact_clip, []
+
+    def raises_once(s, w):
+        if len(calls) == 99 and not raised:
+            raised.append(s)
+            raise KeyError("oracle failed")
+        return spy(s, w)
+
+    monkeypatch.setattr(oracle, "exact_clip", raises_once)
+    spec = GeneratorSpec(seed=90_032, count=300)
+    with pytest.raises(KeyError):
+        check_equivalence("quadclip", spec, W)
+    del calls[:]
+    assert check_equivalence("quadclip", spec, W).ok
+    assert calls == gen_segments(spec)
+
+
+def test_check_equivalence_clips_with_oracle_get_clipper(monkeypatch):
+    # the benchmark's traced verify run replaces `oracle.get_clipper` with
+    # one that wraps each clipper; the wrapper clips every segment once
+    calls = []
+
+    def counting(clip):
+        def wrapper(s, w, counters):
+            calls.append(s)
+            return clip(s, w, counters)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "get_clipper",
+                        lambda cid: counting(baselines.get_clipper(cid)))
+    spec = GeneratorSpec(seed=90_031, count=300)
+    assert check_equivalence("quadclip", spec, W).ok
+    assert calls == gen_segments(spec)
 
 
 def test_check_equivalence_drops_the_cached_corpus_before_the_next(
