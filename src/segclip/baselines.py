@@ -7,17 +7,18 @@ Both intersect against boundary *lines*, so both can spend divisions on
 points that never appear in the output; the counters make that visible.
 
 `CLIPPERS` maps the ids "quadclip", "cs" and "lb" to functions with the
-uniform signature (segment, window, counters) -> clipped segment or None,
+uniform signature (segment, window, counters) -> clipped Segment or None,
 so the benchmark, verification and CLI treat every algorithm identically.
 Each of them is one call of its algorithm's batch kernel, and `clip_many`
-clips a whole corpus with that kernel.
+clips a whole corpus with that kernel, whose results are plain
+((x1, y1), (x2, y2)) tuples.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
-from .geom import ClipResult, Counters, Point, Segment, Window
+from .geom import ClipResult, Counters, Segment, Window, as_segment
 from .quadclip import clip_segment, clip_segments
 
 # Region outcode bits.  Strict comparisons: boundary points code as INSIDE.
@@ -31,7 +32,8 @@ TOP = 8
 def cs_clip_segments(segments, w: Window,
                      counters: Counters) -> list[ClipResult]:
     """Cohen-Sutherland clipping of every segment: one result per input,
-    in order, None for a rejection and a new Segment for an acceptance.
+    in order, None for a rejection and a new plain tuple ((x1, y1), (x2,
+    y2)) for an acceptance.
 
     Boundary processing order is fixed (left, right, bottom, top) so the
     instrumentation counters are deterministic; the order does not affect
@@ -40,7 +42,6 @@ def cs_clip_segments(segments, w: Window,
     `counters` once per call.
     """
     xl, xr, yb, yt = w
-    new = tuple.__new__
     pe = 0
     ic = 0
     out = []
@@ -100,7 +101,7 @@ def cs_clip_segments(segments, w: Window,
         if code1 | code2:
             append(None)
         else:
-            append(new(Segment, (new(Point, (x1, y1)), new(Point, (x2, y2)))))
+            append(((x1, y1), (x2, y2)))
 
     counters.predicate_evals += pe
     counters.divisions += ic
@@ -112,7 +113,8 @@ def lb_clip_segments(segments, w: Window,
                      counters: Counters) -> list[ClipResult]:
     """Liang-Barsky clipping of every parametric segment, t confined to
     [0, 1]: one result per input, in order, None for a rejection and a new
-    Segment for an acceptance (an unmoved endpoint is the input's Point).
+    plain tuple (a, b) for an acceptance, where a moved endpoint is a plain
+    (x, y) tuple and an unmoved one the input's own point.
 
     Each boundary contributes a constraint p*t <= q; a division is spent on
     every boundary whose p is nonzero, even when the segment ends up
@@ -120,7 +122,6 @@ def lb_clip_segments(segments, w: Window,
     `counters` once per call.
     """
     xl, xr, yb, yt = w
-    new = tuple.__new__
     pe = 0
     dv = 0
     ic = 0
@@ -154,11 +155,11 @@ def lb_clip_segments(segments, w: Window,
         else:
             if t0 > 0.0:
                 ic += 1
-                a = new(Point, (x1 + t0 * dx, y1 + t0 * dy))
+                a = (x1 + t0 * dx, y1 + t0 * dy)
             if t1 < 1.0:
                 ic += 1
-                b = new(Point, (x1 + t1 * dx, y1 + t1 * dy))
-            append(new(Segment, (a, b)))
+                b = (x1 + t1 * dx, y1 + t1 * dy)
+            append((a, b))
             continue
         append(None)
 
@@ -168,19 +169,21 @@ def lb_clip_segments(segments, w: Window,
     return out
 
 
-def cs_clip(s: Segment, w: Window, counters: Counters) -> ClipResult:
-    """Cohen-Sutherland clipping of one segment; None when rejected.  One
-    call of the batch kernel `cs_clip_segments`."""
-    return cs_clip_segments((s,), w, counters)[0]
+def cs_clip(s: Segment, w: Window, counters: Counters) -> Optional[Segment]:
+    """Cohen-Sutherland clipping of one segment; None when rejected, else
+    a new Segment of Points.  One call of the batch kernel
+    `cs_clip_segments`."""
+    return as_segment(cs_clip_segments((s,), w, counters)[0])
 
 
-def lb_clip(s: Segment, w: Window, counters: Counters) -> ClipResult:
-    """Liang-Barsky clipping of one segment; None when rejected.  One call
-    of the batch kernel `lb_clip_segments`."""
-    return lb_clip_segments((s,), w, counters)[0]
+def lb_clip(s: Segment, w: Window, counters: Counters) -> Optional[Segment]:
+    """Liang-Barsky clipping of one segment; None when rejected, else a
+    Segment of Points that keeps the input's Point for an unmoved endpoint.
+    One call of the batch kernel `lb_clip_segments`."""
+    return as_segment(lb_clip_segments((s,), w, counters)[0])
 
 
-ClipFn = Callable[[Segment, Window, Counters], ClipResult]
+ClipFn = Callable[[Segment, Window, Counters], Optional[Segment]]
 
 CLIPPERS: Dict[str, ClipFn] = {"quadclip": clip_segment, "cs": cs_clip,
                                "lb": lb_clip}
@@ -205,6 +208,9 @@ def clip_many(clip: ClipFn, segments, w: Window,
               counters: Counters) -> list[ClipResult]:
     """`[clip(s, w, counters) for s in segments]`, computed by one call of
     the batch kernel when `clip` is one of the per-call clippers above.
+    The kernel's list is returned as it is: its results equal the per-call
+    clipper's, but are plain ((x1, y1), (x2, y2)) tuples (quadclip's
+    unmoved input segments aside), so callers unpack or index them.
 
     Any other callable (a test's fake clipper, a tracing wrapper) is
     called once per segment, in order.

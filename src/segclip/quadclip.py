@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .geom import ClipResult, Counters, Point, Segment, Window
+from .geom import ClipResult, Counters, Point, Segment, Window, as_segment
 
 
 class EndpointOutcome(NamedTuple):
@@ -131,21 +131,24 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     """Clip every segment against window w: one result per input, in order.
 
     A result is None when the segment is rejected, the input segment itself
-    when neither endpoint moved, and otherwise a new Segment with endpoint
-    order preserved.  Each segment takes two endpoint passes: first over
-    (a, b), then -- when the first pass kept the segment alive -- over
-    (b, updated a).
+    when neither endpoint moved, and otherwise a new plain tuple ((x1, y1),
+    (x2, y2)) with endpoint order preserved: callers unpack or index it, and
+    only `clip_segment` turns it into a Segment of Points.  Each segment
+    takes two endpoint passes: first over (a, b), then -- when the first
+    pass kept the segment alive -- over (b, updated a).
 
     This is the hot path, so the two `clip_endpoint` passes are inlined
     (the inner loop swaps the endpoint roles between them): a rejection
     breaks out of that loop and its `else` accepts.  An x-section predicate
     rejection only leaves the endpoint unmoved, as `clip_endpoint`'s y
-    section always overwrites the flag it sets.  The counts stay in locals
-    until they are added to `counters` once per call; results and counts
-    are identical to the two-call composition, which the test suite pins.
+    section always overwrites the flag it sets.  Each section forms a
+    difference once and reuses it: as `xl - ax` is exactly `-(ax - xl)`,
+    `ay - (by - ay) * v / (bx - ax)` is `clip_endpoint`'s `y1 + (y2 - y1) *
+    (xl - x1) / (x2 - x1)` bit for bit.  The counts stay in locals until
+    they are added to `counters` once per call; results and counts are
+    identical to the two-call composition, which the test suite pins.
     """
     xl, xr, yb, yt = w
-    new = tuple.__new__
     pe = 0
     ic = 0
     out = []
@@ -169,7 +172,7 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
                     # not (passes below the bottom-left corner)
                     if not (u * (ay - yb) > v * (yb - by)):
                         ic += 1
-                        ay = ay + (by - ay) * (xl - ax) / (bx - ax)
+                        ay = ay - (by - ay) * v / (bx - ax)
                         ax = xl
             elif ax > xr:
                 if bx > xr:
@@ -183,7 +186,7 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
                     # not (passes below the bottom-right corner)
                     if not (u * (ay - yb) < v * (yb - by)):
                         ic += 1
-                        ay = ay + (by - ay) * (xr - ax) / (bx - ax)
+                        ay = ay - (by - ay) * v / (bx - ax)
                         ax = xr
 
             if ay < yb:
@@ -191,26 +194,28 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
                     break
                 pe += 1
                 u = ay - yb
-                if (xl - bx) * u < (ax - xl) * (yb - by):
+                v = yb - by
+                if (xl - bx) * u < (ax - xl) * v:
                     break  # passes left of the bottom-left corner
                 pe += 1
-                if (xr - bx) * u > (ax - xr) * (yb - by):
+                if (xr - bx) * u > (ax - xr) * v:
                     break  # passes right of the bottom-right corner
                 ic += 1
-                ax = ax + (bx - ax) * (yb - ay) / (by - ay)
+                ax = ax - (bx - ax) * u / (by - ay)
                 ay = yb
             elif ay > yt:
                 if by > yt:
                     break
                 pe += 1
                 u = ay - yt
-                if (xl - bx) * u > (ax - xl) * (yt - by):
+                v = yt - by
+                if (xl - bx) * u > (ax - xl) * v:
                     break  # passes left of the top-left corner
                 pe += 1
-                if (xr - bx) * u < (ax - xr) * (yt - by):
+                if (xr - bx) * u < (ax - xr) * v:
                     break  # passes right of the top-right corner
                 ic += 1
-                ax = ax + (bx - ax) * (yt - ay) / (by - ay)
+                ax = ax - (bx - ax) * u / (by - ay)
                 ay = yt
             ax, ay, bx, by = bx, by, ax, ay
         else:
@@ -218,7 +223,7 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
                 append(s)  # nothing moved
             else:
                 # the role swap ran twice, so (ax, ay) is endpoint A again
-                append(new(Segment, (new(Point, (ax, ay)), new(Point, (bx, by)))))
+                append(((ax, ay), (bx, by)))
             continue
         append(None)
 
@@ -228,7 +233,10 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     return out
 
 
-def clip_segment(s: Segment, w: Window, counters: Counters) -> ClipResult:
+def clip_segment(s: Segment, w: Window,
+                 counters: Counters) -> Optional[Segment]:
     """Clip segment s against window w; None when rejected, s itself when
-    nothing moved.  One call of the batch kernel `clip_segments`."""
-    return clip_segments((s,), w, counters)[0]
+    nothing moved, else a new Segment of Points.  One call of the batch
+    kernel `clip_segments`."""
+    r = clip_segments((s,), w, counters)[0]
+    return r if r is s else as_segment(r)

@@ -178,14 +178,53 @@ def test_batch_kernels_equal_one_at_a_time_on_corpus(kernel, w):
     assert_batch_equals_one_at_a_time(kernel, segments, w)
 
 
+def _coordinates(results):
+    """Each result's four coordinates as one repr, None for a rejection:
+    NaN-safe, and -0.0 is not 0.0."""
+    return [None if r is None else repr((*r[0], *r[1])) for r in results]
+
+
 @pytest.mark.parametrize("cid", list(CLIPPERS))
 def test_clip_many_equals_per_call_clipper(cid):
-    segments = gen_segments(GeneratorSpec(seed=4, count=2_000))
     clip = get_clipper(cid)
-    c_many, c_call = Counters(), Counters()
-    assert (clip_many(clip, segments, W, c_many)
-            == [clip(s, W, c_call) for s in segments])
-    assert c_many == c_call
+    for w in CORPUS_WINDOWS:
+        segments = gen_segments(GeneratorSpec(4, 2_000, default_region(w)))
+        c_many, c_call = Counters(), Counters()
+        assert (_coordinates(clip_many(clip, segments, w, c_many))
+                == _coordinates([clip(s, w, c_call) for s in segments]))
+        assert c_many == c_call
+
+
+@pytest.mark.parametrize("cid", list(CLIPPERS))
+@pytest.mark.parametrize("w", CORPUS_WINDOWS)
+def test_result_types_at_both_edges(cid, w):
+    # a batch kernel builds plain ((x1, y1), (x2, y2)) tuples; quadclip
+    # returns an unmoved input segment itself, and lb an unmoved input
+    # endpoint.  The per-call clipper returns a Segment of Points
+    segments = gen_segments(GeneratorSpec(1, 2_000, default_region(w)))
+    batch = BATCH_KERNELS[cid](segments, w, Counters())
+    clip = get_clipper(cid)
+    seen = set()
+    for s, r in zip(segments, batch):
+        one = clip(s, w, Counters())
+        if r is None:
+            assert one is None
+            continue
+        moved = repr((*r[0], *r[1])) != repr((*s.a, *s.b))
+        seen.add(moved)
+        if r is s:
+            assert cid == "quadclip" and not moved
+            assert one is s
+        else:
+            assert type(r) is tuple
+            for p, given in zip(r, s):
+                assert type(p) is tuple or (cid == "lb" and p is given)
+                assert all(type(v) is float for v in p)
+        assert type(one) is Segment
+        assert type(one.a) is Point and type(one.b) is Point
+        assert (repr((one.a.x, one.a.y, one.b.x, one.b.y))
+                == repr((*r[0], *r[1])))
+    assert seen == {False, True}  # moved and unmoved outputs both occur
 
 
 def test_clip_many_calls_other_clippers_once_per_segment():
