@@ -113,8 +113,7 @@ def lb_clip_segments(segments, w: Window,
                      counters: Counters) -> list[ClipResult]:
     """Liang-Barsky clipping of every parametric segment, t confined to
     [0, 1]: one result per input, in order, None for a rejection and a new
-    plain tuple (a, b) for an acceptance, where a moved endpoint is a plain
-    (x, y) tuple and an unmoved one the input's own point.
+    plain tuple ((x1, y1), (x2, y2)) for an acceptance.
 
     Each boundary contributes a constraint p*t <= q; a division is spent on
     every boundary whose p is nonzero, even when the segment ends up
@@ -127,10 +126,7 @@ def lb_clip_segments(segments, w: Window,
     ic = 0
     out = []
     append = out.append
-    for s in segments:
-        a, b = s
-        x1, y1 = a
-        x2, y2 = b
+    for (x1, y1), (x2, y2) in segments:
         dx = x2 - x1
         dy = y2 - y1
         t0 = 0.0
@@ -153,13 +149,14 @@ def lb_clip_segments(segments, w: Window,
                 if t0 > t1:
                     break  # no parameter satisfies every constraint so far
         else:
-            if t0 > 0.0:
-                ic += 1
-                a = (x1 + t0 * dx, y1 + t0 * dy)
+            # B first, so that both moves start from the input's A
             if t1 < 1.0:
                 ic += 1
-                b = (x1 + t1 * dx, y1 + t1 * dy)
-            append((a, b))
+                x2, y2 = x1 + t1 * dx, y1 + t1 * dy
+            if t0 > 0.0:
+                ic += 1
+                x1, y1 = x1 + t0 * dx, y1 + t0 * dy
+            append(((x1, y1), (x2, y2)))
             continue
         append(None)
 
@@ -178,8 +175,8 @@ def cs_clip(s: Segment, w: Window, counters: Counters) -> Optional[Segment]:
 
 def lb_clip(s: Segment, w: Window, counters: Counters) -> Optional[Segment]:
     """Liang-Barsky clipping of one segment; None when rejected, else a
-    Segment of Points that keeps the input's Point for an unmoved endpoint.
-    One call of the batch kernel `lb_clip_segments`."""
+    new Segment of Points.  One call of the batch kernel
+    `lb_clip_segments`."""
     return as_segment(lb_clip_segments((s,), w, counters)[0])
 
 
@@ -209,8 +206,8 @@ def clip_many(clip: ClipFn, segments, w: Window,
     """`[clip(s, w, counters) for s in segments]`, computed by one call of
     the batch kernel when `clip` is one of the per-call clippers above.
     The kernel's list is returned as it is: its results equal the per-call
-    clipper's, but are plain ((x1, y1), (x2, y2)) tuples (quadclip's
-    unmoved input segments aside), so callers unpack or index them.
+    clipper's, but are plain ((x1, y1), (x2, y2)) tuples, so callers
+    unpack or index them.
 
     Any other callable (a test's fake clipper, a tracing wrapper) is
     called once per segment, in order.

@@ -88,7 +88,8 @@ def checksum_segments(segments: Iterable[Segment]) -> float:
     """Order-independent sum of coordinates, each rounded to 6 decimals:
     the integers `round(v * 1e6)`, summed exactly, over 1e6.  Raises
     ValueError naming the first segment with a coordinate v for which
-    v * 1e6 is not finite.
+    v * 1e6 is not finite: v is a NaN or an infinity, or so large that
+    the product overflows.
 
     `float.__round__` is `round` without the builtin's dispatch; `v * 1e6`
     is a float for float, int and `Fraction` coordinates alike.  Any
@@ -107,7 +108,8 @@ def checksum_segments(segments: Iterable[Segment]) -> float:
             except (OverflowError, ValueError):
                 raise ValueError(
                     f"cannot checksum output segment (({ax!r}, {ay!r}), "
-                    f"({bx!r}, {by!r})): a coordinate is not finite"
+                    f"({bx!r}, {by!r})): a coordinate times 1e6 is not "
+                    "finite"
                 ) from None
     return micro / 1e6
 

@@ -45,20 +45,20 @@ DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 
 # A clipper either rejects a segment outright (None) or accepts a possibly
 # degenerate clipped segment, an endpoint pair ((x1, y1), (x2, y2)).  The
-# batch kernels build plain tuples, which callers unpack or index; only the
-# per-call clippers' results are Segments of Points, with `.a` and `.x`.
+# batch kernels build a new plain tuple for every accepted segment, moved or
+# not, which callers unpack or index; only the per-call clippers' results
+# are Segments of Points, with `.a` and `.x`.
 ClipResult = Optional[tuple[tuple[float, float], tuple[float, float]]]
 
 
 def as_segment(r: ClipResult) -> Optional[Segment]:
     """A batch kernel's result as a per-call clipper returns it: None, or a
-    Segment of Points.  An endpoint that already is a Point is kept."""
+    new Segment of Points."""
     if r is None:
         return None
     a, b = r
     new = tuple.__new__  # skips the named tuples' own __new__
-    return new(Segment, (a if type(a) is Point else new(Point, a),
-                         b if type(b) is Point else new(Point, b)))
+    return new(Segment, (new(Point, a), new(Point, b)))
 
 
 class Counters:

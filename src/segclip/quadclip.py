@@ -130,10 +130,10 @@ def clip_endpoint(p1: Point, p2: Point, w: Window, counters: Counters) -> Endpoi
 def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     """Clip every segment against window w: one result per input, in order.
 
-    A result is None when the segment is rejected, the input segment itself
-    when neither endpoint moved, and otherwise a new plain tuple ((x1, y1),
-    (x2, y2)) with endpoint order preserved: callers unpack or index it, and
-    only `clip_segment` turns it into a Segment of Points.  Each segment
+    A result is None when the segment is rejected, and otherwise a new
+    plain tuple ((x1, y1), (x2, y2)) with endpoint order preserved, moved
+    or not: callers unpack or index it, and only `clip_segment` turns it
+    into a Segment of Points.  Each segment
     takes two endpoint passes: first over (a, b), then -- when the first
     pass kept the segment alive -- over (b, updated a).
 
@@ -153,9 +153,7 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     ic = 0
     out = []
     append = out.append
-    for s in segments:
-        (ax, ay), (bx, by) = s
-        ic0 = ic
+    for (ax, ay), (bx, by) in segments:
         for _ in (0, 1):
             # x section: a predicate rejection (passes above the top or
             # below the bottom corner) leaves the endpoint for the y section;
@@ -219,11 +217,8 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
                 ay = yt
             ax, ay, bx, by = bx, by, ax, ay
         else:
-            if ic == ic0:
-                append(s)  # nothing moved
-            else:
-                # the role swap ran twice, so (ax, ay) is endpoint A again
-                append(((ax, ay), (bx, by)))
+            # the role swap ran twice, so (ax, ay) is endpoint A again
+            append(((ax, ay), (bx, by)))
             continue
         append(None)
 
@@ -235,8 +230,6 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
 
 def clip_segment(s: Segment, w: Window,
                  counters: Counters) -> Optional[Segment]:
-    """Clip segment s against window w; None when rejected, s itself when
-    nothing moved, else a new Segment of Points.  One call of the batch
-    kernel `clip_segments`."""
-    r = clip_segments((s,), w, counters)[0]
-    return r if r is s else as_segment(r)
+    """Clip segment s against window w; None when rejected, else a new
+    Segment of Points.  One call of the batch kernel `clip_segments`."""
+    return as_segment(clip_segments((s,), w, counters)[0])

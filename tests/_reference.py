@@ -89,7 +89,8 @@ def checksum_segments(segments) -> float:
                       + round(bx * 1e6) + round(by * 1e6))
     except (OverflowError, ValueError):  # round() of an inf or a NaN
         raise ValueError(f"cannot checksum output segment (({ax!r}, {ay!r}), "
-                         f"({bx!r}, {by!r})): a coordinate is not finite"
+                         f"({bx!r}, {by!r})): a coordinate times 1e6 is "
+                         "not finite"
                          ) from None
     return micro / 1e6
 

@@ -100,16 +100,13 @@ def special_segments(draw):
 
 
 def assert_batch_equals_one_at_a_time(kernel, segments, w: Window) -> None:
-    """`kernel` over the whole corpus gives the results, the identity of
-    each result with its input, and the counter totals of feeding it one
-    segment at a time."""
+    """`kernel` over the whole corpus gives the results and the counter
+    totals of feeding it one segment at a time."""
     c_batch, c_single = Counters(), Counters()
     batch = kernel(segments, w, c_batch)
     single = [kernel((s,), w, c_single)[0] for s in segments]
     assert type(batch) is list and len(batch) == len(segments)
     assert repr(batch) == repr(single)  # NaN-safe; tells -0.0 from 0.0
-    assert ([r is s for r, s in zip(batch, segments)]
-            == [r is s for r, s in zip(single, segments)])
     assert c_batch == c_single
 
 

@@ -198,9 +198,9 @@ def test_clip_many_equals_per_call_clipper(cid):
 @pytest.mark.parametrize("cid", list(CLIPPERS))
 @pytest.mark.parametrize("w", CORPUS_WINDOWS)
 def test_result_types_at_both_edges(cid, w):
-    # a batch kernel builds plain ((x1, y1), (x2, y2)) tuples; quadclip
-    # returns an unmoved input segment itself, and lb an unmoved input
-    # endpoint.  The per-call clipper returns a Segment of Points
+    # a batch kernel builds a new plain ((x1, y1), (x2, y2)) tuple for
+    # every accepted segment, moved or not, and holds on to no input
+    # object.  The per-call clipper returns a Segment of Points
     segments = gen_segments(GeneratorSpec(1, 2_000, default_region(w)))
     batch = BATCH_KERNELS[cid](segments, w, Counters())
     clip = get_clipper(cid)
@@ -210,17 +210,12 @@ def test_result_types_at_both_edges(cid, w):
         if r is None:
             assert one is None
             continue
-        moved = repr((*r[0], *r[1])) != repr((*s.a, *s.b))
-        seen.add(moved)
-        if r is s:
-            assert cid == "quadclip" and not moved
-            assert one is s
-        else:
-            assert type(r) is tuple
-            for p, given in zip(r, s):
-                assert type(p) is tuple or (cid == "lb" and p is given)
-                assert all(type(v) is float for v in p)
-        assert type(one) is Segment
+        seen.add(repr((*r[0], *r[1])) != repr((*s.a, *s.b)))  # moved
+        assert type(r) is tuple and r is not s
+        for p, given in zip(r, s):
+            assert type(p) is tuple and p is not given
+            assert all(type(v) is float for v in p)
+        assert type(one) is Segment and one is not s
         assert type(one.a) is Point and type(one.b) is Point
         assert (repr((one.a.x, one.a.y, one.b.x, one.b.y))
                 == repr((*r[0], *r[1])))

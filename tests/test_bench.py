@@ -46,7 +46,7 @@ def test_checksum_names_a_non_finite_segment(bad):
             Segment(Point(5.0, 6.0), Point(bad, 8.0)),
             Segment(Point(-math.inf, 0.0), Point(0.0, 0.0))]
     message = (f"cannot checksum output segment ((5.0, 6.0), ({bad!r}, 8.0)): "
-               "a coordinate is not finite")
+               "a coordinate times 1e6 is not finite")
     for checksum in (checksum_segments, reference_checksum):
         for given in (segs, iter(segs)):  # a list, and a one-shot iterable
             with pytest.raises(ValueError) as info:
@@ -137,7 +137,8 @@ def test_time_algorithm_restores_gc_when_the_checksum_raises(monkeypatch,
     was_enabled = gc.isenabled()
     (gc.enable if gc_enabled else gc.disable)()
     try:
-        with pytest.raises(ValueError, match="a coordinate is not finite"):
+        with pytest.raises(ValueError,
+                           match="a coordinate times 1e6 is not finite"):
             time_algorithm("_overflow", corpus, W)
         assert gc.isenabled() is gc_enabled
     finally:

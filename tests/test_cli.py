@@ -450,7 +450,7 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
                  "iterations must be >= 1: 0", None, id="zero-iterations"),
     pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1",
                  "cannot checksum output segment ((inf, 0.0), (1.0, 2.0)): "
-                 "a coordinate is not finite", _constant_overflow,
+                 "a coordinate times 1e6 is not finite", _constant_overflow,
                  id="non-finite-checksum"),
     pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1",
                  "clipper outputs disagree at size 10, pass 0: "
