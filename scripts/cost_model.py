@@ -22,13 +22,11 @@ import argparse
 import sys
 from collections import Counter
 
-from segclip import GeneratorSpec, Point, Segment, Window, gen_segments
-from segclip.baselines import cs_clip_segments, lb_clip_segments
+from segclip import (CLIPPERS, GeneratorSpec, Point, Segment, Window,
+                     gen_segments)
 from segclip.geom import DEFAULT_WINDOW, Counters
-from segclip.quadclip import clip_segments
 
-KERNELS = {"quadclip": clip_segments, "cs": cs_clip_segments,
-           "lb": lb_clip_segments}
+KERNELS = {cid: c.kernel for cid, c in CLIPPERS.items()}
 KINDS = ("add/sub", "mul", "compare", "div", "neg")
 DIVISION_WEIGHTS = (1, 2, 4, 8, 16, 32, 64)
 

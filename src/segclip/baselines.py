@@ -9,17 +9,17 @@ points that never appear in the output; the counters make that visible.
 `CLIPPERS` maps the ids "quadclip", "cs" and "lb" to functions with the
 uniform signature (segment, window, counters) -> clipped Segment or None,
 so the benchmark, verification and CLI treat every algorithm identically.
-Each of them is one call of its algorithm's batch kernel, and `clip_many`
-clips a whole corpus with that kernel, whose results are plain
-((x1, y1), (x2, y2)) tuples.
+Each is `geom.per_call` of its algorithm's batch kernel, which it carries
+as `.kernel`, and `clip_many` clips a whole corpus with that kernel, whose
+results are plain ((x1, y1), (x2, y2)) tuples.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from .geom import ClipResult, Counters, Segment, Window, as_segment
-from .quadclip import clip_segment, clip_segments
+from .geom import ClipResult, Counters, Segment, Window, per_call
+from .quadclip import clip_segment
 
 # Region outcode bits.  Strict comparisons: boundary points code as INSIDE.
 INSIDE = 0
@@ -166,19 +166,8 @@ def lb_clip_segments(segments, w: Window,
     return out
 
 
-def cs_clip(s: Segment, w: Window, counters: Counters) -> Optional[Segment]:
-    """Cohen-Sutherland clipping of one segment; None when rejected, else
-    a new Segment of Points.  One call of the batch kernel
-    `cs_clip_segments`."""
-    return as_segment(cs_clip_segments((s,), w, counters)[0])
-
-
-def lb_clip(s: Segment, w: Window, counters: Counters) -> Optional[Segment]:
-    """Liang-Barsky clipping of one segment; None when rejected, else a
-    new Segment of Points.  One call of the batch kernel
-    `lb_clip_segments`."""
-    return as_segment(lb_clip_segments((s,), w, counters)[0])
-
+cs_clip = per_call(cs_clip_segments, "cs_clip")
+lb_clip = per_call(lb_clip_segments, "lb_clip")
 
 ClipFn = Callable[[Segment, Window, Counters], Optional[Segment]]
 
@@ -197,22 +186,18 @@ def get_clipper(name: str) -> ClipFn:
         raise UnknownClipperError(name) from None
 
 
-_BATCH_KERNELS = {clip_segment: clip_segments, cs_clip: cs_clip_segments,
-                  lb_clip: lb_clip_segments}
-
-
 def clip_many(clip: ClipFn, segments, w: Window,
               counters: Counters) -> list[ClipResult]:
     """`[clip(s, w, counters) for s in segments]`, computed by one call of
-    the batch kernel when `clip` is one of the per-call clippers above.
-    The kernel's list is returned as it is: its results equal the per-call
-    clipper's, but are plain ((x1, y1), (x2, y2)) tuples, so callers
-    unpack or index them.
+    `clip.kernel` when `clip` was built by `geom.per_call`.  The kernel's
+    list is returned as it is: its results equal the per-call clipper's,
+    but are plain ((x1, y1), (x2, y2)) tuples, so callers unpack or index
+    them.
 
-    Any other callable (a test's fake clipper, a tracing wrapper) is
-    called once per segment, in order.
+    Any other callable (a test's fake clipper, a tracing wrapper) has no
+    `.kernel` and is called once per segment, in order.
     """
-    kernel = _BATCH_KERNELS.get(clip)
+    kernel = getattr(clip, "kernel", None)
     if kernel is None:
         return [clip(s, w, counters) for s in segments]
     return kernel(segments, w, counters)

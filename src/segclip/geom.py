@@ -46,19 +46,32 @@ DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 # A clipper either rejects a segment outright (None) or accepts a possibly
 # degenerate clipped segment, an endpoint pair ((x1, y1), (x2, y2)).  The
 # batch kernels build a new plain tuple for every accepted segment, moved or
-# not, which callers unpack or index; only the per-call clippers' results
-# are Segments of Points, with `.a` and `.x`.
+# not, which callers unpack or index; only the per-call clippers that
+# `per_call` builds return Segments of Points, with `.a` and `.x`.
 ClipResult = Optional[tuple[tuple[float, float], tuple[float, float]]]
 
 
-def as_segment(r: ClipResult) -> Optional[Segment]:
-    """A batch kernel's result as a per-call clipper returns it: None, or a
-    new Segment of Points."""
-    if r is None:
-        return None
-    a, b = r
+def per_call(kernel, name: str):
+    """The per-call clipper `name(segment, window, counters)` of a batch
+    kernel: one kernel call on the one segment, whose result it returns as
+    None or a new Segment of Points.  The clipper carries the kernel as
+    `.kernel`, which `baselines.clip_many` runs on a whole corpus."""
     new = tuple.__new__  # skips the named tuples' own __new__
-    return new(Segment, (new(Point, a), new(Point, b)))
+
+    def clip(s, w, counters):
+        r = kernel((s,), w, counters)[0]
+        if r is None:
+            return None
+        a, b = r
+        return new(Segment, (new(Point, a), new(Point, b)))
+
+    # assigned to `name` in the kernel's module, it pickles by that name
+    clip.__name__ = clip.__qualname__ = name
+    clip.__module__ = kernel.__module__
+    clip.__doc__ = (f"`{kernel.__name__}` on one segment: None when "
+                    "rejected, else a new Segment of Points.")
+    clip.kernel = kernel
+    return clip
 
 
 class Counters:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .geom import ClipResult, Counters, Point, Segment, Window, as_segment
+from .geom import ClipResult, Counters, Point, Window, per_call
 
 
 class EndpointOutcome(NamedTuple):
@@ -228,8 +228,4 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     return out
 
 
-def clip_segment(s: Segment, w: Window,
-                 counters: Counters) -> Optional[Segment]:
-    """Clip segment s against window w; None when rejected, else a new
-    Segment of Points.  One call of the batch kernel `clip_segments`."""
-    return as_segment(clip_segments((s,), w, counters)[0])
+clip_segment = per_call(clip_segments, "clip_segment")

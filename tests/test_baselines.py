@@ -1,10 +1,16 @@
+import pickle
+
 import pytest
 from hypothesis import given, assume, settings
 
 from segclip import (CLIPPERS, Counters, GeneratorSpec, Point, Segment,
-                     UnknownClipperError, clip_many, cs_clip, default_region,
-                     exact_clip, gen_segments, get_clipper, lb_clip)
+                     UnknownClipperError, check_equivalence, clip_many,
+                     cs_clip, default_region, exact_clip, gen_segments,
+                     get_clipper, lb_clip, time_algorithm, write_segments)
+import segclip.baselines as baselines
 from segclip.baselines import cs_clip_segments, lb_clip_segments
+from segclip.cli import main
+from segclip.geom import per_call
 from segclip.quadclip import clip_segment, clip_segments
 
 from _strategies import (CORPUS_WINDOWS, WINDOW,
@@ -157,12 +163,12 @@ def test_exact_counts_on_corpus(cid, accepted, counts):
 # --- batch kernels and clip_many ----------------------------------------------
 
 
-BATCH_KERNELS = {"quadclip": clip_segments, "cs": cs_clip_segments,
-                 "lb": lb_clip_segments}
+BATCH_KERNELS = {cid: c.kernel for cid, c in CLIPPERS.items()}
 
 
 def test_every_clipper_has_a_batch_kernel():
-    assert list(BATCH_KERNELS) == list(CLIPPERS)
+    assert BATCH_KERNELS == {"quadclip": clip_segments,
+                             "cs": cs_clip_segments, "lb": lb_clip_segments}
 
 
 @pytest.mark.parametrize("kernel", list(BATCH_KERNELS.values()))
@@ -237,6 +243,47 @@ def test_clip_many_calls_other_clippers_once_per_segment():
     assert out == clip_many(clip_segment, segments, W, Counters())
 
 
+def test_registering_a_clipper_takes_one_per_call_line(tmp_path, monkeypatch):
+    # a clipper is its batch kernel, one per_call line and one CLIPPERS
+    # entry; clip_many then runs the kernel once per call it receives
+    calls = []
+
+    def kernel(segments, w, counters):
+        calls.append(len(segments))
+        return cs_clip_segments(segments, w, counters)
+
+    monkeypatch.setitem(baselines.CLIPPERS, "cs-copy",
+                        per_call(kernel, "cs_copy_clip"))
+    clip = get_clipper("cs-copy")
+    segments = gen_segments(GeneratorSpec(5, 10_000))
+    c_many, c_cs = Counters(), Counters()
+    assert (_coordinates(clip_many(clip, segments, W, c_many))
+            == _coordinates(cs_clip_segments(segments, W, c_cs)))
+    assert c_many == c_cs and calls == [10_000]
+
+    one = clip(segments[0], W, Counters())
+    assert repr(one) == repr(cs_clip(segments[0], W, Counters()))
+    assert calls == [10_000, 1]
+
+    del calls[:]
+    assert (time_algorithm("cs-copy", segments, W)[1]
+            == time_algorithm("cs", segments, W)[1])
+    assert calls == [10_000]
+
+    del calls[:]
+    assert check_equivalence("cs-copy", GeneratorSpec(6, 10_000), W).ok
+    assert calls == [4096, 4096, 1808]  # one per chunk
+
+    src = tmp_path / "in.txt"
+    write_segments(src, segments)
+    outs = {}
+    for algo in ("cs-copy", "cs"):
+        outs[algo] = tmp_path / f"{algo}.txt"
+        assert main(["clip", str(src), "-o", str(outs[algo]),
+                     "--algo", algo]) == 0
+    assert outs["cs-copy"].read_bytes() == outs["cs"].read_bytes()
+
+
 # --- clipper table ------------------------------------------------------------
 
 
@@ -245,6 +292,8 @@ def test_registry_ids_and_order():
     assert get_clipper("quadclip") is clip_segment
     assert get_clipper("cs") is cs_clip
     assert get_clipper("lb") is lb_clip
+    # by name, as a worker process receives them
+    assert all(pickle.loads(pickle.dumps(c)) is c for c in CLIPPERS.values())
 
 
 def test_registry_unknown_clipper():
