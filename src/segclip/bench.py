@@ -1,14 +1,14 @@
 """Timing harness: average total execution time per clipper and relative ratios.
 
-Each pass clips one freshly generated seeded corpus; every clipper in
-`baselines.CLIPPERS` sees the same corpus within a pass, and a different
-corpus is used in each pass.  A monotonic clock wraps the whole corpus pass
-(per-segment timing at size 10 would mostly measure the clock).  Corpus
-generation and I/O stay outside the timed region.  An order-independent
-checksum over the accepted output coordinates, rounded to 6 decimals, both
-keeps the timed work observable and catches any cross-algorithm output
-disagreement; the rounding absorbs the sub-tolerance coordinate differences
-the algorithms may legitimately produce.
+Each pass clips one freshly generated seeded corpus at `DEFAULT_WINDOW`;
+every clipper in `baselines.CLIPPERS` sees the same corpus within a pass,
+and a different corpus is used in each pass.  A monotonic clock wraps the
+whole corpus pass (per-segment timing at size 10 would mostly measure the
+clock).  Corpus generation and I/O stay outside the timed region.  An
+order-independent checksum over the accepted output coordinates, rounded to
+6 decimals, both keeps the timed work observable and catches any
+cross-algorithm output disagreement; the rounding absorbs the sub-tolerance
+coordinate differences the algorithms may legitimately produce.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .baselines import CLIPPERS, clip_many, get_clipper
-from .geom import (DEFAULT_WINDOW, Counters, Segment, Window, gc_paused,
-                   validate_window)
+from .geom import DEFAULT_WINDOW, Counters, Segment, Window, gc_paused
 from .oracle import GeneratorSpec, default_region, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -49,20 +48,16 @@ class BenchConfig:
     sizes: tuple[int, ...] = DEFAULT_SIZES
     iterations: int = 10
     seed: int = 1
-    window: Window = DEFAULT_WINDOW
 
     @property
     def region(self) -> Window:
-        """The sampling region, `default_region(window)`."""
-        return default_region(self.window)
+        """The sampling region, `default_region()` around `DEFAULT_WINDOW`."""
+        return default_region()
 
     def __post_init__(self):
-        """Raise ValueError unless the window and its sampling region are
-        valid windows, sizes are positive and strictly ascending (a repeated
-        size would time the same corpora twice) and iterations >= 1, so that
-        a bad config fails before any pass runs."""
-        validate_window(self.window)
-        validate_window(self.region)  # 3x the window's extent can overflow
+        """Raise ValueError unless sizes are positive and strictly ascending
+        (a repeated size would time the same corpora twice) and iterations
+        >= 1, so that a bad config fails before any pass runs."""
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError(f"sizes must be positive: {self.sizes}")
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
@@ -89,7 +84,8 @@ def checksum_segments(segments: Iterable[Segment]) -> float:
     the integers `round(v * 1e6)`, summed exactly, over 1e6.  Raises
     ValueError naming the first segment with a coordinate v for which
     v * 1e6 is not finite: v is a NaN or an infinity, or so large that
-    the product overflows.
+    the product overflows.  Being absolute to 1e-6, the checksum cannot
+    tell clippers apart at a window below about 1e-6.
 
     `float.__round__` is `round` without the builtin's dispatch; `v * 1e6`
     is a float for float, int and `Fraction` coordinates alike.  Any
@@ -117,7 +113,9 @@ def checksum_segments(segments: Iterable[Segment]) -> float:
 def time_algorithm(clipper, segments: list[Segment], w: Window) -> tuple[float, float]:
     """One timed pass of `clipper` over `segments`.
 
-    Returns (total wall-clock milliseconds, checksum of accepted output).
+    Returns (total wall-clock milliseconds, checksum of accepted output);
+    the checksum, absolute to 1e-6, cannot tell clippers apart at a window
+    below about 1e-6.
     """
     clip = get_clipper(clipper)
     counters = Counters()
@@ -156,7 +154,7 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
             pass_checksums = {}
             k = pass_index % len(clippers)
             for cid in clippers[k:] + clippers[:k]:
-                ms, ck = time_algorithm(cid, corpus, config.window)
+                ms, ck = time_algorithm(cid, corpus, DEFAULT_WINDOW)
                 pass_checksums[cid] = ck
                 if pass_index > 0:  # pass 0 is warmup
                     totals[cid] += ms

@@ -39,10 +39,9 @@ def _window_arg(text: str) -> Window:
 
 def _sizes_arg(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
-    return sizes
 
 
 def _count_arg(text: str) -> int:
@@ -63,14 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "rectangular window.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_algo=True):
+    def add_common(p):
         p.add_argument("--window", type=_window_arg, default=DEFAULT_WINDOW,
                        metavar="XL,YB,XR,YT",
                        help="clipping window (default 0,0,10,10)")
-        if with_algo:
-            p.add_argument("--algo", default="quadclip",
-                           metavar="|".join(CLIPPERS),
-                           help="clipping algorithm (default quadclip)")
+        p.add_argument("--algo", default="quadclip",
+                       metavar="|".join(CLIPPERS),
+                       help="clipping algorithm (default quadclip)")
 
     p_clip = sub.add_parser("clip", help="clip a segment file")
     p_clip.add_argument("input", help="segment file: x1 y1 x2 y2 per line")
@@ -92,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--iterations", type=int, default=10,
                          help="measured passes per size (default 10)")
     p_bench.add_argument("--seed", type=int, default=1, help="base seed (default 1)")
-    add_common(p_bench, with_algo=False)
     p_bench.set_defaults(func=cmd_bench)
 
     p_verify = sub.add_parser("verify",
@@ -174,12 +171,8 @@ def cmd_render(args) -> int:
 
 def cmd_bench(args) -> int:
     from . import bench
-    config = bench.BenchConfig(
-        sizes=args.sizes or bench.DEFAULT_SIZES,
-        iterations=args.iterations,
-        seed=args.seed,
-        window=args.window,
-    )
+    config = bench.BenchConfig(sizes=args.sizes or bench.DEFAULT_SIZES,
+                               iterations=args.iterations, seed=args.seed)
     # an unwritable path fails before the suite runs; appending nothing
     # keeps the previous CSV should the suite fail, and a file the probe
     # created is removed again, after an interrupt too

@@ -7,9 +7,8 @@ import hypothesis.strategies as st
 
 import segclip.baselines as baselines
 import segclip.bench as bench
-from segclip import (BenchConfig, BenchRow, DegenerateWindowError,
-                     GeneratorSpec, NonFiniteError, Point, Segment, Window,
-                     checksum_segments, default_region, gen_segments,
+from segclip import (BenchConfig, BenchRow, GeneratorSpec, Point, Segment,
+                     Window, checksum_segments, default_region, gen_segments,
                      pass_seed, run_suite, time_algorithm)
 from segclip.bench import CSV_FIELDS, REFERENCE_RATIOS, format_table, rows_to_csv
 from segclip.geom import DEFAULT_WINDOW
@@ -187,22 +186,6 @@ def test_run_suite_validation():
         run_suite(BenchConfig(sizes=(0, 10), iterations=1))
 
 
-@pytest.mark.parametrize("bad, error", [
-    (Window(0.0, 0.0, 0.0, 10.0), DegenerateWindowError),
-    (Window(10.0, 0.0, 0.0, 10.0), DegenerateWindowError),
-    (Window(0.0, math.nan, 0.0, 10.0), NonFiniteError),
-])
-def test_config_rejects_an_invalid_window(bad, error):
-    with pytest.raises(error):
-        BenchConfig(sizes=(100,), iterations=1, window=bad)
-
-
-def test_config_rejects_a_default_region_that_is_not_finite():
-    # three times this window's extent overflows to infinity
-    with pytest.raises(NonFiniteError):
-        BenchConfig(window=Window(0.0, 1e308, 0.0, 1e308))
-
-
 def test_pass_seed_distinct_and_stable():
     seen = {pass_seed(1, size, p) for size in (10, 100) for p in range(11)}
     assert len(seen) == 22
@@ -242,17 +225,8 @@ def test_csv_bytes_of_awkward_values():
 
 
 def test_config_region_follows_the_window():
-    w = Window(100.0, 101.0, 100.0, 101.0)
-    assert BenchConfig(window=w).region == default_region(w)
     assert BenchConfig().region == default_region()
+    with pytest.raises(TypeError):  # the bench runs at DEFAULT_WINDOW only
+        BenchConfig(window=Window(100.0, 101.0, 100.0, 101.0))
     with pytest.raises(TypeError):  # the region is not a setting
-        BenchConfig(window=w, region=Window(0.0, 1.0, 0.0, 1.0))
-
-
-def test_run_suite_samples_around_a_far_window():
-    # sampling around the default window instead would reject every
-    # segment, leaving nothing for the checksums to compare
-    rows = run_suite(BenchConfig(window=Window(100.0, 101.0, 100.0, 101.0),
-                                 sizes=(1000,), iterations=1))
-    assert len({r.checksum for r in rows}) == 1
-    assert rows[0].checksum > 0.0
+        BenchConfig(region=Window(0.0, 1.0, 0.0, 1.0))

@@ -114,40 +114,47 @@ def _type_error(s, w, c):
     raise TypeError("a bug in a clipper, not a refusal")
 
 
+def _constant_overflow(s, w, c):
+    return Segment(Point(math.inf, 0.0), Point(1.0, 2.0))
+
+
 @pytest.mark.parametrize("gc_enabled", [True, False])
-@pytest.mark.parametrize("argv, code", [
-    pytest.param("clip {tmp}/in.txt -o {tmp}/out", 0, id="clip-ok"),
-    pytest.param("clip {tmp}/bad.txt -o {tmp}/out", 1, id="clip-parse-error"),
+@pytest.mark.parametrize("argv, code, fake_clipper", [
+    pytest.param("clip {tmp}/in.txt -o {tmp}/out", 0, None, id="clip-ok"),
+    pytest.param("clip {tmp}/bad.txt -o {tmp}/out", 1, None,
+                 id="clip-parse-error"),
     pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo no-such-algo", 1,
-                 id="clip-unknown-algo"),
-    pytest.param("clip {tmp}/in.txt -o {tmp}/missing-dir/out", 1,
+                 None, id="clip-unknown-algo"),
+    pytest.param("clip {tmp}/in.txt -o {tmp}/missing-dir/out", 1, None,
                  id="clip-unwritable"),
     # a bug is no refusal: it leaves `main` as itself
     pytest.param("clip {tmp}/in.txt -o {tmp}/out --algo _type_error",
-                 TypeError, id="clip-type-error"),
-    pytest.param("render {tmp}/in.txt -o {tmp}/out", 0, id="render-ok"),
-    pytest.param("render {tmp}/bad.txt -o {tmp}/out", 1,
+                 TypeError, _type_error, id="clip-type-error"),
+    pytest.param("render {tmp}/in.txt -o {tmp}/out", 0, None, id="render-ok"),
+    pytest.param("render {tmp}/bad.txt -o {tmp}/out", 1, None,
                  id="render-parse-error"),
     pytest.param("render {tmp}/in.txt -o {tmp}/out --algo no-such-algo", 1,
-                 id="render-unknown-algo"),
-    pytest.param("render {tmp}/in.txt -o {tmp}/missing-dir/out", 1,
+                 None, id="render-unknown-algo"),
+    pytest.param("render {tmp}/in.txt -o {tmp}/missing-dir/out", 1, None,
                  id="render-unwritable"),
-    pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1", 0,
+    pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1", 0, None,
                  id="bench-ok"),
-    # the clippers' outputs overflow, and the checksum fails mid-suite
-    pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1 "
-                 "--window 0,0,1e160,1e160", 1, id="bench-non-finite-checksum"),
-    pytest.param("verify --count 10", 0, id="verify-ok"),
-    pytest.param("verify --count 10 --window 0,0,1e308,1e308", 1,
+    # one clipper's output is infinite, and the checksum fails mid-suite
+    pytest.param("bench -o {tmp}/out --sizes 10 --iterations 1", 1,
+                 _constant_overflow, id="bench-non-finite-checksum"),
+    pytest.param("verify --count 10", 0, None, id="verify-ok"),
+    pytest.param("verify --count 10 --window 0,0,1e308,1e308", 1, None,
                  id="verify-region-overflows"),
 ])
 def test_cli_leaves_gc_state_alone(tmp_path, capsys, monkeypatch, argv, code,
-                                   gc_enabled):
+                                   fake_clipper, gc_enabled):
     (tmp_path / "in.txt").write_text("-5 5 5 5\n")
     (tmp_path / "bad.txt").write_text("abc\n")
     argv = argv.format(tmp=tmp_path).split()
-    if code is TypeError:  # only here: bench runs every registered clipper
-        monkeypatch.setitem(baselines.CLIPPERS, "_type_error", _type_error)
+    # registered per row: bench runs every registered clipper
+    if fake_clipper is not None:
+        monkeypatch.setitem(baselines.CLIPPERS, fake_clipper.__name__,
+                            fake_clipper)
     was_enabled = gc.isenabled()
     (gc.enable if gc_enabled else gc.disable)()
     try:
@@ -329,17 +336,6 @@ def test_failed_bench_keeps_the_previous_csv(tmp_path, capsys, monkeypatch,
         assert dst.read_text() == previous
 
 
-def test_bench_huge_window_never_ends_in_a_traceback(tmp_path, capsys):
-    # at this scale the float clippers may overflow; the run must then end
-    # in one `segclip:` line, not an exception
-    code = run_cli("bench", "-o", str(tmp_path / "b.csv"),
-                   "--window", "0,0,1e160,1e160", "--sizes", "1000",
-                   "--iterations", "1")
-    err = capsys.readouterr().err
-    assert code == 0 and err == "" or (
-        code == 1 and err.startswith("segclip: ") and err.count("\n") == 1)
-
-
 # --- verify -------------------------------------------------------------------
 
 
@@ -390,10 +386,6 @@ def test_verify_failures_file_is_rewritten_when_clean(tmp_path, capsys):
 
 
 # --- failure lines --------------------------------------------------------------
-
-
-def _constant_overflow(s, w, c):
-    return Segment(Point(math.inf, 0.0), Point(1.0, 2.0))
 
 
 _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
@@ -516,9 +508,12 @@ def test_help_exit_code_is_0(capsys):
     # paper scale is `--sizes 10,...,10000000 --iterations 100`, spelled out
     pytest.param("bench -o {tmp}/b.csv --paper-scale", "--paper-scale",
                  id="paper-scale"),
-    # both commands sample around the window, with default_region(window)
+    # verify samples with default_region(window); the bench times at
+    # DEFAULT_WINDOW only, on corpora from default_region()
     pytest.param("bench -o {tmp}/b.csv --region 0,0,1,1", "--region",
                  id="bench-region"),
+    pytest.param("bench -o {tmp}/b.csv --window 0,0,1e-300,1e-300",
+                 "--window", id="bench-window"),
     pytest.param("verify --count 10 --region 0,0,1,1", "--region",
                  id="verify-region"),
     # the tolerance is check_equivalence's default, 1e-9
