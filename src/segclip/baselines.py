@@ -176,7 +176,10 @@ CLIPPERS: Dict[str, ClipFn] = {"quadclip": clip_segment, "cs": cs_clip,
 
 
 class UnknownClipperError(KeyError):
-    """No clipper under the requested id."""
+    """No clipper under the requested id, which is its one argument."""
+
+    def __str__(self):
+        return f"unknown algorithm: {self.args[0]}"
 
 
 def get_clipper(name: str) -> ClipFn:

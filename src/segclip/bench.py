@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 from .baselines import CLIPPERS, clip_many, get_clipper
 from .geom import DEFAULT_WINDOW, Counters, Segment, Window, gc_paused
-from .oracle import GeneratorSpec, default_region, gen_segments
+from .oracle import GeneratorSpec, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
 
@@ -48,11 +48,6 @@ class BenchConfig:
     sizes: tuple[int, ...] = DEFAULT_SIZES
     iterations: int = 10
     seed: int = 1
-
-    @property
-    def region(self) -> Window:
-        """The sampling region, `default_region()` around `DEFAULT_WINDOW`."""
-        return default_region()
 
     def __post_init__(self):
         """Raise ValueError unless sizes are positive and strictly ascending
@@ -145,11 +140,10 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
     rows: list[BenchRow] = []
     for size in config.sizes:
         totals = {cid: 0.0 for cid in clippers}
-        checksums = {cid: 0.0 for cid in clippers}
+        checksum = 0.0
         for pass_index in range(config.iterations + 1):
-            spec = GeneratorSpec(pass_seed(config.seed, size, pass_index),
-                                 size, config.region)
-            corpus = gen_segments(spec)
+            corpus = gen_segments(GeneratorSpec(
+                pass_seed(config.seed, size, pass_index), size))
             gc.collect()  # settle allocation debt from generation
             pass_checksums = {}
             k = pass_index % len(clippers)
@@ -158,22 +152,17 @@ def run_suite(config: BenchConfig) -> list[BenchRow]:
                 pass_checksums[cid] = ck
                 if pass_index > 0:  # pass 0 is warmup
                     totals[cid] += ms
-                    checksums[cid] += ck
             del corpus  # so that the next is never built beside it
             if len(set(pass_checksums.values())) != 1:
                 raise RuntimeError(
                     f"clipper outputs disagree at size {size}, "
                     f"pass {pass_index}: {pass_checksums}")
+            if pass_index > 0:  # the clippers agree, so one sum serves all
+                checksum += ck
         quad_avg = totals["quadclip"] / config.iterations
         for cid in clippers:
             avg = totals[cid] / config.iterations
-            rows.append(BenchRow(
-                size=size,
-                clipper=cid,
-                avg_total_ms=avg,
-                ratio_vs_quadclip=avg / quad_avg,
-                checksum=checksums[cid],
-            ))
+            rows.append(BenchRow(size, cid, avg, avg / quad_avg, checksum))
     return rows
 
 

@@ -6,9 +6,9 @@ success, 1 on usage or input errors, 2 when verification finds a mismatch.
 Each command imports the modules that only it needs (`svg`, `bench`,
 `oracle`) when it runs, so `clip` loads just the clipping core.
 
-Commands raise; `main` alone prints a `_Failure`, `ValueError` or
-`RuntimeError` as one `segclip: MESSAGE` line on stderr and exits 1.  Any
-other exception keeps its traceback.
+Commands raise; `main` alone prints an `UnknownClipperError`, `ValueError`
+or `RuntimeError` as one `segclip: MESSAGE` line on stderr and exits 1.
+Any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -105,16 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Failure(Exception):
-    """A command failed; `main` prints `segclip: MESSAGE` and exits 1."""
-
-
 def _write(path, write, *args):
-    """Call write(path, *args), turning an OSError into a _Failure."""
+    """Call write(path, *args), turning an OSError into a RuntimeError."""
     try:
         write(path, *args)
     except OSError as exc:
-        raise _Failure(f"cannot write {path}: {exc}")
+        raise RuntimeError(f"cannot write {path}: {exc}")
 
 
 def _write_text(path, text, mode="w"):
@@ -130,9 +126,9 @@ def _clip_file(args):
     try:
         segments = read_segments(args.input)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _Failure(f"cannot read {args.input}: {exc}")
+        raise RuntimeError(f"cannot read {args.input}: {exc}")
     except SegmentFormatError as exc:
-        raise _Failure(f"{args.input}: {exc}")
+        raise RuntimeError(f"{args.input}: {exc}")
     clip = get_clipper(args.algo)
     clipped = list(filter(None, clip_many(clip, segments, args.window,
                                           Counters())))
@@ -143,7 +139,7 @@ def _clip_file(args):
         for (x1, y1), (x2, y2) in clipped:
             # a zero for finite v, NaN otherwise
             if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
-                raise _Failure(
+                raise RuntimeError(
                     f"{args.algo} output segment (({x1!r}, {y1!r}), "
                     f"({x2!r}, {y2!r})): a coordinate is not finite")
     return segments, clipped
@@ -214,12 +210,9 @@ def main(argv=None) -> int:
         # locals die when it returns, before the pause ends
         with gc_paused():
             return args.func(args)
-    except UnknownClipperError:
-        message = f"unknown algorithm: {args.algo}"
-    except (_Failure, ValueError, RuntimeError) as exc:
-        message = exc
-    print(f"segclip: {message}", file=sys.stderr)
-    return USAGE_ERROR
+    except (UnknownClipperError, ValueError, RuntimeError) as exc:
+        print(f"segclip: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

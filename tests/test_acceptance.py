@@ -134,7 +134,7 @@ def test_5_benchmark_directional():
 
     # explicit per-pass checksum agreement on the first measured pass
     corpus = gen_segments(GeneratorSpec(
-        pass_seed(config.seed, CORPUS_SIZE, 1), CORPUS_SIZE, config.region))
+        pass_seed(config.seed, CORPUS_SIZE, 1), CORPUS_SIZE))
     pass_cks = {cid: time_algorithm(cid, corpus, WINDOW)[1] for cid in CLIPPERS}
 
     rows_again = run_suite(config)

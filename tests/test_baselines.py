@@ -297,5 +297,8 @@ def test_registry_ids_and_order():
 
 
 def test_registry_unknown_clipper():
-    with pytest.raises(UnknownClipperError):
+    with pytest.raises(UnknownClipperError) as info:
         get_clipper("no-such-algo")
+    # the text cli.main prints after `segclip: `
+    assert str(info.value) == "unknown algorithm: no-such-algo"
+    assert info.value.args == ("no-such-algo",)

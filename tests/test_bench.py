@@ -8,8 +8,8 @@ import hypothesis.strategies as st
 import segclip.baselines as baselines
 import segclip.bench as bench
 from segclip import (BenchConfig, BenchRow, GeneratorSpec, Point, Segment,
-                     Window, checksum_segments, default_region, gen_segments,
-                     pass_seed, run_suite, time_algorithm)
+                     Window, checksum_segments, gen_segments, pass_seed,
+                     run_suite, time_algorithm)
 from segclip.bench import CSV_FIELDS, REFERENCE_RATIOS, format_table, rows_to_csv
 from segclip.geom import DEFAULT_WINDOW
 from segclip.quadclip import clip_segment
@@ -166,6 +166,20 @@ def test_run_suite_two_sizes_deterministic():
         assert (a.size, a.clipper, a.checksum) == (b.size, b.clipper, b.checksum)
 
 
+def test_run_suite_checksum_is_the_sum_of_its_pass_checksums():
+    # every row of a size carries the in-order sum over the measured passes
+    # of one pass's checksum, computed here on freshly built default corpora
+    rows = run_suite(BenchConfig(sizes=(10, 100), iterations=2, seed=5))
+    for size in (10, 100):
+        want = 0.0
+        for i in (1, 2):
+            corpus = gen_segments(GeneratorSpec(pass_seed(5, size, i), size))
+            want += time_algorithm("quadclip", corpus, W)[1]
+        got = [r.checksum for r in rows if r.size == size]
+        assert len(got) == 3
+        assert all(c.hex() == want.hex() for c in got), (size, got, want)
+
+
 def test_run_suite_holds_one_corpus_at_a_time(monkeypatch):
     # each pass's corpus is freed before the next is generated
     corpora = results_freed_in_turn(monkeypatch, bench, "gen_segments")
@@ -224,8 +238,9 @@ def test_csv_bytes_of_awkward_values():
         "1000000,lb,inf,nan,100000000000000000000.000000\n")
 
 
-def test_config_region_follows_the_window():
-    assert BenchConfig().region == default_region()
+def test_config_has_no_region_or_window():
+    # the sampling recipe lives in GeneratorSpec alone
+    assert not hasattr(BenchConfig(), "region")
     with pytest.raises(TypeError):  # the bench runs at DEFAULT_WINDOW only
         BenchConfig(window=Window(100.0, 101.0, 100.0, 101.0))
     with pytest.raises(TypeError):  # the region is not a setting
