@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gc
 import math
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -43,12 +43,17 @@ class Window(NamedTuple):
 DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 
 
+# A plain endpoint pair ((x1, y1), (x2, y2)): the shape `parse_segments`
+# returns and every batch kernel builds.  It compares equal to the Segment of
+# Points with the same coordinates, but has no `.a` or `.x`; callers unpack
+# or index it.  Exact tuples are what CPython unpacks fastest.
+SegmentTuple = tuple[tuple[float, float], tuple[float, float]]
+
 # A clipper either rejects a segment outright (None) or accepts a possibly
-# degenerate clipped segment, an endpoint pair ((x1, y1), (x2, y2)).  The
-# batch kernels build a new plain tuple for every accepted segment, moved or
-# not, which callers unpack or index; only the per-call clippers that
+# degenerate clipped segment.  The batch kernels build a new SegmentTuple for
+# every accepted segment, moved or not; only the per-call clippers that
 # `per_call` builds return Segments of Points, with `.a` and `.x`.
-ClipResult = Optional[tuple[tuple[float, float], tuple[float, float]]]
+ClipResult = Optional[SegmentTuple]
 
 
 def per_call(kernel, name: str):
@@ -229,9 +234,10 @@ def _first_error(lines: list[str], first: int) -> SegmentFormatError:
                     line_number, f"coordinate must be finite: {token!r}")
 
 
-def parse_segments(lines: Iterable[str]) -> list[Segment]:
-    """Parse the segment text format; raises SegmentFormatError with a 1-based
-    line number on the first malformed line.
+def parse_segments(lines: Iterable[str]) -> list[SegmentTuple]:
+    """Parse the segment text format into plain `((x1, y1), (x2, y2))`
+    tuples of floats; raises SegmentFormatError with a 1-based line number
+    on the first malformed line.
 
     Lines are converted a chunk at a time, each chunk as one text by
     `_whole_chunk`, with one `str.split` and one `map(float)`.  A chunk
@@ -243,7 +249,6 @@ def parse_segments(lines: Iterable[str]) -> list[Segment]:
     """
     segments = []
     extend = segments.extend
-    new = tuple.__new__  # skips the named tuples' own __new__
     lines = iter(lines)
     first = 1  # line number of the chunk's first line
     while chunk := list(islice(lines, _CHUNK)):
@@ -254,14 +259,15 @@ def parse_segments(lines: Iterable[str]) -> list[Segment]:
             if flat is None:
                 raise _first_error(chunk, first)
         xy = iter(flat)
-        points = map(new, repeat(Point), zip(xy, xy))
-        extend(map(new, repeat(Segment), zip(points, points)))
+        points = zip(xy, xy)
+        extend(zip(points, points))
         first += len(chunk)
         del chunk, flat  # before the next chunk is read
     return segments
 
 
-def read_segments(path) -> list[Segment]:
+def read_segments(path) -> list[SegmentTuple]:
+    """`parse_segments` of a UTF-8 file's lines."""
     # utf-8-sig drops the byte-order mark that some editors write first
     with open(path, encoding="utf-8-sig") as f:
         return parse_segments(f)

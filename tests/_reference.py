@@ -10,7 +10,7 @@ float helpers after it serve test filters and assertions only,
 import math
 from fractions import Fraction
 
-from segclip import Point, Segment, SegmentFormatError
+from segclip import Point, SegmentFormatError
 
 
 def frac_orientation(p1, p2, corner):
@@ -96,8 +96,9 @@ def checksum_segments(segments) -> float:
 
 
 def parse_segments(lines):
-    """`segclip.parse_segments` one line at a time: the same segments, and
-    the same SegmentFormatError for the first faulty line."""
+    """`segclip.parse_segments` one line at a time: the same plain
+    `((x1, y1), (x2, y2))` tuples, and the same SegmentFormatError for the
+    first faulty line."""
     segments = []
     for line_number, raw in enumerate(lines, start=1):
         tokens = raw.split()
@@ -118,5 +119,5 @@ def parse_segments(lines):
                     line_number, f"coordinate must be finite: {token!r}")
             coords.append(v)
         x1, y1, x2, y2 = coords
-        segments.append(Segment(Point(x1, y1), Point(x2, y2)))
+        segments.append(((x1, y1), (x2, y2)))
     return segments

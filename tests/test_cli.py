@@ -74,7 +74,7 @@ def test_clip_algo_selection_agrees_numerically(tmp_path):
         outs.append(read_segments(dst))
     assert len(outs[0]) == len(outs[1]) == len(outs[2])
     for a, b, c in zip(*outs):
-        for u, v, w in zip((*a.a, *a.b), (*b.a, *b.b), (*c.a, *c.b)):
+        for u, v, w in zip((*a[0], *a[1]), (*b[0], *b[1]), (*c[0], *c[1])):
             assert abs(u - v) <= 1e-8 and abs(u - w) <= 1e-8
 
 

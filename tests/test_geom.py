@@ -77,10 +77,11 @@ def test_parse_basic_with_comments_and_blanks():
         Segment(Point(0.0, 0.0), Point(10.0, 10.0)),
         Segment(Point(1.5e-3, -0.0), Point(2.0, 3.0)),
     ]
+    # plain tuples, the shape the batch kernels return, not named tuples
     for s in segs:
-        assert type(s) is Segment
-        assert type(s.a) is Point and type(s.b) is Point
-        assert all(type(v) is float for v in (*s.a, *s.b))
+        assert type(s) is tuple and len(s) == 2
+        assert type(s[0]) is tuple and type(s[1]) is tuple
+        assert all(type(v) is float for v in (*s[0], *s[1]))
 
 
 def test_parse_error_reports_line_number():
@@ -264,7 +265,7 @@ def test_roundtrip_through_file(tmp_path):
     assert len(back) == 2
     assert back[0] == segs[0]  # exactly representable at 9 digits
     # 1/3 survives as its 9-significant-digit rendering
-    assert math.isclose(back[1].a.x, 1 / 3, abs_tol=1e-9)
+    assert math.isclose(back[1][0][0], 1 / 3, abs_tol=1e-9)
 
 
 @pytest.mark.parametrize("text", [
