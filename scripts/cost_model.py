@@ -22,8 +22,7 @@ import argparse
 import sys
 from collections import Counter
 
-from segclip import (CLIPPERS, GeneratorSpec, Point, Segment, Window,
-                     gen_segments)
+from segclip import CLIPPERS, GeneratorSpec, Window, gen_segments
 from segclip.geom import DEFAULT_WINDOW, Counters
 
 KERNELS = {cid: c.kernel for cid, c in CLIPPERS.items()}
@@ -63,9 +62,11 @@ for _kind, _names in (("add/sub", ("add", "radd", "sub", "rsub")),
 
 
 def counting(segments, w: Window):
-    """The corpus and the window with every coordinate a CountingFloat."""
+    """The corpus, as plain ((x1, y1), (x2, y2)) tuples like the one
+    `gen_segments` returns, and the window, with every coordinate a
+    CountingFloat."""
     c = CountingFloat
-    return ([Segment(Point(c(ax), c(ay)), Point(c(bx), c(by)))
+    return ([((c(ax), c(ay)), (c(bx), c(by)))
              for (ax, ay), (bx, by) in segments],
             Window(*map(c, w)))
 

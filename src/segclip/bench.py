@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .baselines import CLIPPERS, clip_many, get_clipper
-from .geom import DEFAULT_WINDOW, Counters, Segment, Window, gc_paused
+from .geom import DEFAULT_WINDOW, Counters, SegmentTuple, Window, gc_paused
 from .oracle import GeneratorSpec, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -74,7 +74,7 @@ def pass_seed(base_seed: int, size: int, pass_index: int) -> int:
     return (base_seed * 1_000_003 + size) * 1_009 + pass_index
 
 
-def checksum_segments(segments: Iterable[Segment]) -> float:
+def checksum_segments(segments: Iterable[SegmentTuple]) -> float:
     """Order-independent sum of coordinates, each rounded to 6 decimals:
     the integers `round(v * 1e6)`, summed exactly, over 1e6.  Raises
     ValueError naming the first segment with a coordinate v for which
@@ -105,7 +105,8 @@ def checksum_segments(segments: Iterable[Segment]) -> float:
     return micro / 1e6
 
 
-def time_algorithm(clipper, segments: list[Segment], w: Window) -> tuple[float, float]:
+def time_algorithm(clipper, segments: list[SegmentTuple],
+                   w: Window) -> tuple[float, float]:
     """One timed pass of `clipper` over `segments`.
 
     Returns (total wall-clock milliseconds, checksum of accepted output);

@@ -43,10 +43,11 @@ class Window(NamedTuple):
 DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 
 
-# A plain endpoint pair ((x1, y1), (x2, y2)): the shape `parse_segments`
-# returns and every batch kernel builds.  It compares equal to the Segment of
-# Points with the same coordinates, but has no `.a` or `.x`; callers unpack
-# or index it.  Exact tuples are what CPython unpacks fastest.
+# A plain endpoint pair ((x1, y1), (x2, y2)): the shape `parse_segments` and
+# `oracle.gen_segments` return and every batch kernel builds.  It compares
+# equal to the Segment of Points with the same coordinates, but has no `.a`
+# or `.x`; callers unpack or index it.  Exact tuples are what CPython
+# unpacks fastest.
 SegmentTuple = tuple[tuple[float, float], tuple[float, float]]
 
 # A clipper either rejects a segment outright (None) or accepts a possibly

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .baselines import clip_many, get_clipper
-from .geom import (DEFAULT_WINDOW, Counters, Point, Segment, Window,
-                   gc_paused, validate_window)
+from .geom import (DEFAULT_WINDOW, Counters, Point, Segment, SegmentTuple,
+                   Window, gc_paused, validate_window)
 
 # sampling region extent over window extent: segments then land in a useful
 # mix of dispositions, some wholly outside, some crossing, some inside
@@ -54,9 +54,10 @@ class GeneratorSpec:
             raise ValueError(f"count must be >= 0: {self.count}")
 
 
-def gen_segments(spec: GeneratorSpec) -> list[Segment]:
-    """Segments with endpoints drawn uniformly and independently from the
-    spec's region; a pure function of the spec.
+def gen_segments(spec: GeneratorSpec) -> list[SegmentTuple]:
+    """Plain `((x1, y1), (x2, y2))` tuples of floats whose endpoints are
+    drawn uniformly and independently from the spec's region; a pure
+    function of the spec.
 
     Each coordinate is `lo + (hi - lo) * random()`, drawn in the order x1,
     y1, x2, y2: the formula and call order of `random.Random.uniform`, so a
@@ -71,14 +72,10 @@ def gen_segments(spec: GeneratorSpec) -> list[Segment]:
     if not (math.isfinite(width) and math.isfinite(height)):
         raise ValueError("sampling region width and height must be finite: "
                          f"{spec.region!r}")
-    new = tuple.__new__
     with gc_paused():
-        return [
-            new(Segment,
-                (new(Point, (xl + width * rand(), yb + height * rand())),
-                 new(Point, (xl + width * rand(), yb + height * rand()))))
-            for _ in range(spec.count)
-        ]
+        return [((xl + width * rand(), yb + height * rand()),
+                 (xl + width * rand(), yb + height * rand()))
+                for _ in range(spec.count)]
 
 
 def _over_lcm(values) -> tuple:
@@ -228,7 +225,7 @@ class EquivalenceReport:
     decision_mismatches: int = 0
     coordinate_mismatches: int = 0
     max_coordinate_error: float = 0.0
-    failures: list[Segment] = field(default_factory=list)
+    failures: list[SegmentTuple] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

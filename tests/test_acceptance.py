@@ -68,7 +68,7 @@ def test_2_no_false_intersections_per_input():
             prev_isec = counters.intersections_computed
             moved = 0
             if out is not None:
-                moved = (out.a != s.a) + (out.b != s.b)
+                moved = (out.a != s[0]) + (out.b != s[1])
             if d_isec != moved or d_div != d_isec:
                 violations += 1
             cases += 1

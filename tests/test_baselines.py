@@ -154,14 +154,14 @@ def test_false_intersection_bounds_on_corpus():
         clip_segment(s, W, c_qc)
         moved = 0
         if r_cs is not None:
-            moved = (r_cs.a != s.a) + (r_cs.b != s.b)
+            moved = (r_cs.a != s[0]) + (r_cs.b != s[1])
         cs_false = c_cs.intersections_computed - moved
         assert 0 <= cs_false <= 4
         if cs_false > 0 and c_qc.intersections_computed == moved:
             cs_false_seen = True
         moved_lb = 0
         if r_lb is not None:
-            moved_lb = (r_lb.a != s.a) + (r_lb.b != s.b)
+            moved_lb = (r_lb.a != s[0]) + (r_lb.b != s[1])
         lb_false = c_lb.divisions - moved_lb
         assert 0 <= lb_false <= 4
         if lb_false > 0:
@@ -242,6 +242,24 @@ def test_clip_many_on_parsed_tuples_equals_on_segments(cid, tmp_path):
 
 
 @pytest.mark.parametrize("cid", list(CLIPPERS))
+def test_clip_many_on_generated_tuples_equals_on_segments(cid):
+    # the generator returns plain tuples too; at every corpus window, the
+    # float clippers' overflows and underflows included, the shape of the
+    # input moves no output bit and no count
+    clip = get_clipper(cid)
+    for seed in (1, 2, 3):
+        for w in CORPUS_WINDOWS:
+            generated = gen_segments(GeneratorSpec(seed, 5_000,
+                                                   default_region(w)))
+            rebuilt = [Segment(Point(*a), Point(*b)) for a, b in generated]
+            assert generated == rebuilt and type(generated[0]) is tuple
+            c_generated, c_rebuilt = Counters(), Counters()
+            assert (repr(clip_many(clip, generated, w, c_generated))
+                    == repr(clip_many(clip, rebuilt, w, c_rebuilt)))
+            assert c_generated == c_rebuilt
+
+
+@pytest.mark.parametrize("cid", list(CLIPPERS))
 @pytest.mark.parametrize("w", CORPUS_WINDOWS)
 def test_result_types_at_both_edges(cid, w):
     # a batch kernel builds a new plain ((x1, y1), (x2, y2)) tuple for
@@ -256,7 +274,7 @@ def test_result_types_at_both_edges(cid, w):
         if r is None:
             assert one is None
             continue
-        seen.add(repr((*r[0], *r[1])) != repr((*s.a, *s.b)))  # moved
+        seen.add(repr((*r[0], *r[1])) != repr((*s[0], *s[1])))  # moved
         assert type(r) is tuple and r is not s
         for p, given in zip(r, s):
             assert type(p) is tuple and p is not given

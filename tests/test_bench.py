@@ -131,7 +131,7 @@ def test_time_algorithm_starts_no_collection(clipper):
 def test_time_algorithm_restores_gc_when_the_checksum_raises(monkeypatch,
                                                              gc_enabled):
     monkeypatch.setitem(baselines.CLIPPERS, "_overflow",
-                        lambda s, w, c: Segment(Point(math.inf, 0.0), s.b))
+                        lambda s, w, c: Segment(Point(math.inf, 0.0), s[1]))
     corpus = gen_segments(GeneratorSpec(seed=23, count=200))
     was_enabled = gc.isenabled()
     (gc.enable if gc_enabled else gc.disable)()

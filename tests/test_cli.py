@@ -296,7 +296,7 @@ def test_bench_csv_bytes(tmp_path, monkeypatch):
 
 
 def _overflowing_clip(s, w, c):
-    return Segment(Point(math.inf, 0.0), s.b)
+    return Segment(Point(math.inf, 0.0), s[1])
 
 
 def _constant_segment(s, w, c):

@@ -283,15 +283,17 @@ def test_gen_matches_uniform_recipe_bit_for_bit(region):
     want = _uniform_recipe(spec)
     assert ([[v.hex() for p in s for v in p] for s in got]
             == [[v.hex() for p in s for v in p] for s in want])
-    assert all(type(s) is Segment and type(s.a) is Point and type(s.b) is Point
-               for s in got)
+    # plain ((x1, y1), (x2, y2)) tuples of floats, the shape the batch
+    # kernels unpack fastest; no Segment or Point
+    assert all(type(s) is tuple and all(type(p) is tuple for p in s)
+               and all(type(v) is float for p in s for v in p) for s in got)
 
 
 def test_gen_respects_region():
     region = Window(-1.0, 2.0, 5.0, 6.0)
     for s in gen_segments(GeneratorSpec(seed=9, count=500, region=region)):
-        for p in (s.a, s.b):
-            assert -1.0 <= p.x <= 2.0 and 5.0 <= p.y <= 6.0
+        for x, y in s:
+            assert -1.0 <= x <= 2.0 and 5.0 <= y <= 6.0
 
 
 @pytest.mark.parametrize("gc_enabled", [True, False])
@@ -324,19 +326,20 @@ def test_gen_produces_all_dispositions():
     kinds = {"trivial": 0, "predicate": 0, "partial": 0, "inside": 0}
     for s in segs:
         c = Counters()
-        first = clip_endpoint(s.a, s.b, W, c)
+        a, b = s
+        first = clip_endpoint(a, b, W, c)
         if first.trivially_rejected:
             kinds["trivial"] += 1
             continue
         if first.flag == 0:
             kinds["predicate"] += 1
             continue
-        second = clip_endpoint(s.b, first.point, W, c)
+        second = clip_endpoint(b, first.point, W, c)
         if second.trivially_rejected:
             kinds["trivial"] += 1
         elif second.flag == 0:
             kinds["predicate"] += 1
-        elif first.point == s.a and second.point == s.b:
+        elif first.point == a and second.point == b:
             kinds["inside"] += 1
         else:
             kinds["partial"] += 1
@@ -582,8 +585,9 @@ def test_check_equivalence_flags_broken_clipper(monkeypatch):
         r = exact_clip(s, w)
         if r is None:
             return None
-        return Segment(Point(float(r.a.x) + 5e-8, float(r.a.y)),
-                       Point(float(r.b.x), float(r.b.y)))
+        (ax, ay), (bx, by) = r
+        return Segment(Point(float(ax) + 5e-8, float(ay)),
+                       Point(float(bx), float(by)))
 
     def always_reject(s, w, c):
         return None
@@ -613,14 +617,15 @@ def test_check_equivalence_counts_across_chunk_boundaries(monkeypatch):
         if s == a:  # accepts a segment the oracle rejects
             return s
         if s == b:  # moves the first endpoint
-            return Segment(Point(r.a.x + 0.5, r.a.y), r.b)
+            (ax, ay), rb = r
+            return Segment(Point(ax + 0.5, ay), rb)
         if s == last:  # rejects a segment the oracle accepts
             return None
         return r
 
     monkeypatch.setitem(baselines.CLIPPERS, "_three", wrong_at_three)
     rep = check_equivalence("_three", spec, W)
-    moved = exact_clip(b, W).a.x
+    moved = exact_clip(b, W)[0][0]
     assert (rep.cases_run, rep.decision_mismatches,
             rep.coordinate_mismatches) == (10_000, 2, 1)
     assert rep.max_coordinate_error == abs(moved + 0.5 - moved)
@@ -649,9 +654,10 @@ def test_check_equivalence_flags_a_nan_output(monkeypatch, coordinate):
         r = exact_clip(s, w)
         if r is None:
             return None
+        (_, ay), (_, by) = r
         if coordinate == "a.x":
-            return Segment(Point(math.nan, r.a.y), r.b)
-        return Segment(r.a, Point(math.nan, r.b.y))
+            return Segment(Point(math.nan, ay), r[1])
+        return Segment(r[0], Point(math.nan, by))
 
     monkeypatch.setitem(baselines.CLIPPERS, "_nan", nan_coordinate)
     rep = check_equivalence("_nan", GeneratorSpec(seed=7, count=2_000), W)

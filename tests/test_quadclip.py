@@ -242,6 +242,6 @@ def test_seeded_corpus_spot_invariants():
         assert d_div == d_isec
         moved = 0
         if out is not None:
-            moved = (out.a != s.a) + (out.b != s.b)
+            moved = (out.a != s[0]) + (out.b != s[1])
             assert window_contains(out.a, W) and window_contains(out.b, W)
         assert d_isec == moved
