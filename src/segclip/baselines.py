@@ -119,6 +119,13 @@ def lb_clip_segments(segments, w: Window,
     every boundary whose p is nonzero, even when the segment ends up
     rejected or the parameter is discarded.  The counts are added to
     `counters` once per call.
+
+    As in Liang and Barsky's clipT, the four boundaries are tested one
+    after another (left, right, bottom, top), each forming its p and q
+    only when it is tested, and the first rejection ends the segment.
+    This is the hot path, so the tests are written out in turn instead of
+    looping over a tuple of (p, q) pairs; results and counts are those of
+    the loop, which the test suite keeps as the readable reference.
     """
     xl, xr, yb, yt = w
     pe = 0
@@ -131,34 +138,88 @@ def lb_clip_segments(segments, w: Window,
         dy = y2 - y1
         t0 = 0.0
         t1 = 1.0
-        # Boundary order: left, right, bottom, top.
-        for p, q in ((-dx, x1 - xl), (dx, xr - x1), (-dy, y1 - yb),
-                     (dy, yt - y1)):
-            pe += 1
-            if p == 0.0:
-                if q < 0.0:
-                    break  # parallel to this boundary and outside it
-            else:
-                dv += 1
-                r = q / p
-                if p < 0.0:  # entering constraint: t >= r
-                    if r > t0:
-                        t0 = r
-                elif r < t1:  # leaving constraint: t <= r
-                    t1 = r
-                if t0 > t1:
-                    break  # no parameter satisfies every constraint so far
+        # left: p = -dx, q = x1 - xl
+        pe += 1
+        p = -dx
+        q = x1 - xl
+        if p == 0.0:
+            if q < 0.0:
+                append(None)  # parallel to this boundary and outside it
+                continue
         else:
-            # B first, so that both moves start from the input's A
-            if t1 < 1.0:
-                ic += 1
-                x2, y2 = x1 + t1 * dx, y1 + t1 * dy
-            if t0 > 0.0:
-                ic += 1
-                x1, y1 = x1 + t0 * dx, y1 + t0 * dy
-            append(((x1, y1), (x2, y2)))
-            continue
-        append(None)
+            dv += 1
+            r = q / p
+            if p < 0.0:  # entering constraint: t >= r
+                if r > t0:
+                    t0 = r
+            elif r < t1:  # leaving constraint: t <= r
+                t1 = r
+            if t0 > t1:
+                append(None)  # no parameter satisfies every constraint
+                continue
+        # right: p = dx, q = xr - x1
+        pe += 1
+        q = xr - x1
+        if dx == 0.0:
+            if q < 0.0:
+                append(None)
+                continue
+        else:
+            dv += 1
+            r = q / dx
+            if dx < 0.0:
+                if r > t0:
+                    t0 = r
+            elif r < t1:
+                t1 = r
+            if t0 > t1:
+                append(None)
+                continue
+        # bottom: p = -dy, q = y1 - yb
+        pe += 1
+        p = -dy
+        q = y1 - yb
+        if p == 0.0:
+            if q < 0.0:
+                append(None)
+                continue
+        else:
+            dv += 1
+            r = q / p
+            if p < 0.0:
+                if r > t0:
+                    t0 = r
+            elif r < t1:
+                t1 = r
+            if t0 > t1:
+                append(None)
+                continue
+        # top: p = dy, q = yt - y1
+        pe += 1
+        q = yt - y1
+        if dy == 0.0:
+            if q < 0.0:
+                append(None)
+                continue
+        else:
+            dv += 1
+            r = q / dy
+            if dy < 0.0:
+                if r > t0:
+                    t0 = r
+            elif r < t1:
+                t1 = r
+            if t0 > t1:
+                append(None)
+                continue
+        # B first, so that both moves start from the input's A
+        if t1 < 1.0:
+            ic += 1
+            x2, y2 = x1 + t1 * dx, y1 + t1 * dy
+        if t0 > 0.0:
+            ic += 1
+            x1, y1 = x1 + t0 * dx, y1 + t0 * dy
+        append(((x1, y1), (x2, y2)))
 
     counters.predicate_evals += pe
     counters.divisions += dv

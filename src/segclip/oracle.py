@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .baselines import clip_many, get_clipper
-from .geom import (DEFAULT_WINDOW, Counters, Point, Segment, SegmentTuple,
-                   Window, gc_paused, validate_window)
+from .geom import (DEFAULT_WINDOW, Counters, Segment, SegmentTuple, Window,
+                   gc_paused, validate_window)
 
 # sampling region extent over window extent: segments then land in a useful
 # mix of dispositions, some wholly outside, some crossing, some inside
@@ -120,17 +120,19 @@ def _window_frame(w: Window) -> tuple:
 _last_frame = (None, None)  # (window, its frame) for the last window seen
 
 
-def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
+def exact_clip(s: Segment, w: Window) -> Optional[SegmentTuple]:
     """Mathematically exact closed-window clipping, rounded once to floats.
 
     Accepts float, int or Fraction coordinates.  Returns None when the
-    parametric interval is empty.  Otherwise each endpoint the interval
-    keeps (t = 0 or t = 1) is the input's own Point, and a segment wholly
-    inside is returned as is.  A moved endpoint lies on the window edge
-    that moved it and takes that edge's float; its other coordinate is
-    the float nearest the exact value (`int / int` rounds correctly, so
-    each is bit for bit `float(Fraction)`).  A single-point overlap yields
-    a degenerate a == b result.
+    parametric interval is empty, and otherwise a new plain tuple ((x1,
+    y1), (x2, y2)), the batch kernels' result contract, even for a segment
+    wholly inside.  An endpoint the interval keeps (t = 0 or t = 1) keeps
+    the input's own coordinates, so int and Fraction coordinates come back
+    as they went in.  A moved endpoint lies on the window edge that moved
+    it and takes that edge's float; its other coordinate is the float
+    nearest the exact value (`int / int` rounds correctly, so each is bit
+    for bit `float(Fraction)`).  A single-point overlap yields a
+    degenerate result whose two endpoints are equal.
 
     A segment with both endpoints strictly beyond the same boundary is
     rejected by comparing coordinates, which Python does exactly across
@@ -200,19 +202,19 @@ def exact_clip(s: Segment, w: Window) -> Optional[Segment]:
             hi_n, hi_d, hi_y = YT - Y1, dy, fyt
     if lo_n * hi_d > hi_n * lo_d:
         return None
-    if lo_n == 0 and hi_n == hi_d:
-        return s
-    new = tuple.__new__  # skips the named tuples' own __new__
-    a, b = s
     if lo_n:
         d = scale * lo_d
-        a = new(Point, (lo_x, (Y1 * lo_d + dy * lo_n) / d) if lo_y is None
-                else ((X1 * lo_d + dx * lo_n) / d, lo_y))
+        if lo_y is None:
+            x1, y1 = lo_x, (Y1 * lo_d + dy * lo_n) / d
+        else:
+            x1, y1 = (X1 * lo_d + dx * lo_n) / d, lo_y
     if hi_n != hi_d:
         d = scale * hi_d
-        b = new(Point, (hi_x, (Y1 * hi_d + dy * hi_n) / d) if hi_y is None
-                else ((X1 * hi_d + dx * hi_n) / d, hi_y))
-    return new(Segment, (a, b))
+        if hi_y is None:
+            x2, y2 = hi_x, (Y1 * hi_d + dy * hi_n) / d
+        else:
+            x2, y2 = (X1 * hi_d + dx * hi_n) / d, hi_y
+    return ((x1, y1), (x2, y2))
 
 
 @dataclass
@@ -241,17 +243,6 @@ class EquivalenceReport:
 
 
 _cached = None  # ((spec, w, exact_clip), segments, exact results) or None
-
-
-def _endpoint_error(out: Segment, exact: Segment) -> float:
-    """Largest coordinate deviation of `out` from the exact endpoints, taken
-    in order (every clipper keeps its input's endpoint order); inf when an
-    output coordinate is NaN."""
-    (oax, oay), (obx, oby) = out
-    (eax, eay), (ebx, eby) = exact
-    errs = (abs(oax - eax), abs(oay - eay), abs(obx - ebx), abs(oby - eby))
-    # max() keeps a NaN only as its first argument; a sum keeps every NaN
-    return math.inf if math.isnan(sum(errs)) else max(errs)
 
 
 def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
@@ -306,7 +297,17 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
                     report.decision_mismatches += 1
                     report.failures.append(s)
                     continue
-                err = _endpoint_error(out, exact)
+                # the largest coordinate deviation, endpoints in order
+                # (every clipper keeps its input's endpoint order), and inf
+                # when an output coordinate is NaN: a sum keeps every NaN
+                (oax, oay), (obx, oby) = out
+                (eax, eay), (ebx, eby) = exact
+                e1, e2 = abs(oax - eax), abs(oay - eay)
+                e3, e4 = abs(obx - ebx), abs(oby - eby)
+                total = e1 + e2 + e3 + e4
+                e1 = e1 if e1 > e2 else e2
+                e3 = e3 if e3 > e4 else e4
+                err = (e1 if e1 > e3 else e3) if total == total else math.inf
                 if err > report.max_coordinate_error:
                     report.max_coordinate_error = err
                 if err > abs_tol:

@@ -215,7 +215,9 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
                 ic += 1
                 ax = ax - (bx - ax) * u / (by - ay)
                 ay = yt
-            ax, ay, bx, by = bx, by, ax, ay
+            # swap roles as two pairs: a swap of four names builds a tuple
+            ax, bx = bx, ax
+            ay, by = by, ay
         else:
             # the role swap ran twice, so (ax, ay) is endpoint A again
             append(((ax, ay), (bx, by)))

@@ -3,8 +3,9 @@
 Written the dumbest possible way -- fractions.Fraction end to end, no code
 shared with segclip.oracle (which scales to big integers internally).  The
 float helpers after it serve test filters and assertions only,
-`checksum_segments` keeps the bench checksum's plain loop, and
-`parse_segments` the segment parser's loop over single lines.
+`lb_clip_segments` keeps Liang-Barsky's loop over (p, q) pairs,
+`checksum_segments` the bench checksum's plain loop, and `parse_segments`
+the segment parser's loop over single lines.
 """
 
 import math
@@ -77,6 +78,56 @@ def window_contains(p, w, ulps: int = 4) -> bool:
     sx = ulps * math.ulp(max(abs(xl), abs(xr)))
     sy = ulps * math.ulp(max(abs(yb), abs(yt)))
     return xl - sx <= p[0] <= xr + sx and yb - sy <= p[1] <= yt + sy
+
+
+def lb_clip_segments(segments, w, counters):
+    """`segclip.baselines.lb_clip_segments` as a loop over the four
+    boundaries' (p, q) pairs: the same results, bit for bit, and the same
+    counts."""
+    xl, xr, yb, yt = w
+    pe = 0
+    dv = 0
+    ic = 0
+    out = []
+    append = out.append
+    for (x1, y1), (x2, y2) in segments:
+        dx = x2 - x1
+        dy = y2 - y1
+        t0 = 0.0
+        t1 = 1.0
+        # Boundary order: left, right, bottom, top.
+        for p, q in ((-dx, x1 - xl), (dx, xr - x1), (-dy, y1 - yb),
+                     (dy, yt - y1)):
+            pe += 1
+            if p == 0.0:
+                if q < 0.0:
+                    break  # parallel to this boundary and outside it
+            else:
+                dv += 1
+                r = q / p
+                if p < 0.0:  # entering constraint: t >= r
+                    if r > t0:
+                        t0 = r
+                elif r < t1:  # leaving constraint: t <= r
+                    t1 = r
+                if t0 > t1:
+                    break  # no parameter satisfies every constraint so far
+        else:
+            # B first, so that both moves start from the input's A
+            if t1 < 1.0:
+                ic += 1
+                x2, y2 = x1 + t1 * dx, y1 + t1 * dy
+            if t0 > 0.0:
+                ic += 1
+                x1, y1 = x1 + t0 * dx, y1 + t0 * dy
+            append(((x1, y1), (x2, y2)))
+            continue
+        append(None)
+
+    counters.predicate_evals += pe
+    counters.divisions += dv
+    counters.intersections_computed += ic
+    return out
 
 
 def checksum_segments(segments) -> float:

@@ -14,6 +14,7 @@ from segclip.cli import main
 from segclip.geom import per_call
 from segclip.quadclip import clip_segment, clip_segments
 
+import _reference
 from _strategies import (CORPUS_WINDOWS, WINDOW,
                          assert_batch_equals_one_at_a_time,
                          corpus_segments, grid_segments, grid_windows,
@@ -118,7 +119,7 @@ def test_baselines_match_exact_oracle_on_grid(clip, s, w):
     if out is not None:
         tol = 1e-9 * max(1.0, w.extent())
         err = max(abs(g - float(e))
-                  for g, e in zip((*out.a, *out.b), (*exact.a, *exact.b)))
+                  for g, e in zip((*out[0], *out[1]), (*exact[0], *exact[1])))
         assert err <= tol
 
 
@@ -141,7 +142,7 @@ _WRONG_NEAR_PARALLEL = pytest.mark.xfail(
 def test_near_parallel_segment_matches_the_oracle(cid):
     got = get_clipper(cid)(_NEAR_PARALLEL, W, Counters())
     want = exact_clip(_NEAR_PARALLEL, W)
-    assert repr((*got.a, *got.b)) == repr((*want.a, *want.b))
+    assert repr((*got[0], *got[1])) == repr((*want[0], *want[1]))
 
 
 def test_false_intersection_bounds_on_corpus():
@@ -205,6 +206,37 @@ def test_batch_kernels_equal_one_at_a_time(kernel, segments, w):
 def test_batch_kernels_equal_one_at_a_time_on_corpus(kernel, w):
     segments = gen_segments(GeneratorSpec(1, 20_000, default_region(w)))
     assert_batch_equals_one_at_a_time(kernel, segments, w)
+
+
+def _lb_special_segments(w):
+    """Zero-length, axis-parallel, NaN and +-1e308 segments around w."""
+    xl, xr, yb, yt = w
+    cx, cy = (xl + xr) / 2, (yb + yt) / 2
+    lx, rx = xl - (xr - xl), xr + (xr - xl)
+    by, ty = yb - (yt - yb), yt + (yt - yb)
+    nan, big = float("nan"), 1e308
+    return [((cx, cy), (cx, cy)), ((lx, cy), (lx, cy)),  # zero length
+            ((cx, by), (cx, ty)), ((lx, by), (lx, ty)),  # dx == 0
+            ((xl, by), (xl, ty)), ((rx, ty), (rx, by)),
+            ((lx, cy), (rx, cy)), ((lx, by), (rx, by)),  # dy == 0
+            ((rx, yt), (lx, yt)), ((cx, ty), (rx, ty)),
+            ((nan, cy), (cx, cy)), ((cx, cy), (cx, nan)),
+            ((lx, by), (nan, ty)),
+            ((-big, -big), (big, big)), ((big, -big), (-big, big))]
+
+
+@pytest.mark.parametrize("w", CORPUS_WINDOWS)
+def test_lb_kernel_equals_the_readable_reference(w):
+    # lb's kernel tests the boundaries one by one; the reference loops over
+    # their (p, q) pairs.  Same results, bit for bit, and same counts
+    segments = _lb_special_segments(w)
+    for seed in range(1, 11):
+        segments += gen_segments(GeneratorSpec(seed, 2_000, default_region(w)))
+    c_kernel, c_reference = Counters(), Counters()
+    assert (_coordinates(lb_clip_segments(segments, w, c_kernel))
+            == _coordinates(_reference.lb_clip_segments(segments, w,
+                                                        c_reference)))
+    assert c_kernel == c_reference
 
 
 def _coordinates(results):

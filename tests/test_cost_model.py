@@ -26,8 +26,8 @@ CORPUS = GeneratorSpec(1, 2_000)
                   "div": 1647, "neg": 0}),
     ("cs", {"add/sub": 8668, "mul": 2167, "compare": 21749, "div": 2167,
             "neg": 0}),
-    ("lb", {"add/sub": 15294, "mul": 3294, "compare": 26848, "div": 6617,
-            "neg": 4000}),
+    ("lb", {"add/sub": 13911, "mul": 3294, "compare": 26848, "div": 6617,
+            "neg": 3551}),
 ])
 def test_float_operation_counts(cid, ops):
     segments = gen_segments(CORPUS)

@@ -55,17 +55,18 @@ windows_any_type = st.one_of(
 
 
 def _assert_rounds(s, got, want):
-    """`got` is the reference clip `want` of `s` rounded once to floats: an
-    endpoint the clip keeps is the input's own point, and a moved one holds
-    floats equal to float() of the exact coordinates, down to the sign of
-    a zero."""
+    """`got` is the reference clip `want` of `s` rounded once to floats, as
+    a new plain tuple of plain tuples: an endpoint the clip keeps holds the
+    input's own coordinates, and a moved one floats equal to float() of the
+    exact coordinates, down to the sign of a zero."""
     if want is None:
         assert got is None
         return
-    assert got is not None
+    assert type(got) is tuple and got is not s
     for p, exact, given in zip(got, want, s):
+        assert type(p) is tuple and p is not given
         if exact == given:
-            assert p is given
+            assert p[0] is given[0] and p[1] is given[1]
         else:
             assert all(type(v) is float for v in p)
             assert p == tuple(map(float, exact))
@@ -75,8 +76,8 @@ def _assert_rounds(s, got, want):
 
 def test_exact_corner_touch_single_point():
     r = exact_clip(Segment(Point(-5.0, 5.0), Point(5.0, -5.0)), W)
-    assert r == Segment(Point(0, 0), Point(0, 0))
-    assert r.a == r.b
+    assert r == ((0, 0), (0, 0))
+    assert r[0] == r[1]
 
 
 def test_exact_diagonal_quarter_interval():
@@ -94,8 +95,8 @@ def test_exact_rejects_disjoint_intervals():
 def test_exact_fractional_result():
     s = Segment(Point(-2.0, -5.0), Point(8.0, 7.0))
     r = exact_clip(s, W)
-    assert r.a == Point(float(Fraction(13, 6)), 0.0)
-    assert r.b is s.b
+    assert r[0] == (float(Fraction(13, 6)), 0.0)
+    assert r[1][0] is s.b.x and r[1][1] is s.b.y
     ref = frac_clip(((-2, -5), (8, 7)), (0, 10, 0, 10))
     _assert_rounds(s, r, ref)
 
@@ -223,7 +224,7 @@ def test_exact_idempotent_and_symmetric(s):
     if first is None:
         assert swapped is None
         return
-    assert swapped == Segment(first.b, first.a)
+    assert swapped == (first[1], first[0])
     again = exact_clip(first, W)
     assert again == first
 
@@ -232,8 +233,8 @@ def test_exact_idempotent_and_symmetric(s):
 def test_exact_accepted_satisfies_closed_window(s):
     r = exact_clip(s, W)
     if r is not None:
-        for p in (r.a, r.b):
-            assert 0 <= p.x <= 10 and 0 <= p.y <= 10
+        for x, y in r:
+            assert 0 <= x <= 10 and 0 <= y <= 10
 
 
 def test_exact_accepts_fraction_inputs():
@@ -241,6 +242,30 @@ def test_exact_accepts_fraction_inputs():
                 Point(Fraction(22, 7), Fraction(5, 3)))
     r = exact_clip(s, W)
     assert r == s  # interior, returned exactly
+
+
+@pytest.mark.parametrize("make", [
+    lambda a, b: Segment(Point(*a), Point(*b)),
+    lambda a, b: (tuple(a), tuple(b)),
+], ids=["Segment", "tuple"])
+@pytest.mark.parametrize("coord", [float, int, Fraction])
+@pytest.mark.parametrize("a, b", [((2, 3), (7, 8)),     # wholly inside
+                                  ((-5, 5), (5, 5)),    # A moved
+                                  ((5, 5), (5, 15)),    # B moved
+                                  ((-5, -5), (15, 15))])  # both moved
+def test_exact_results_are_new_plain_tuples(make, coord, a, b):
+    # the batch kernels' result contract: a new tuple of two new tuples,
+    # never an input object, and a kept coordinate is the input's own
+    s = make(tuple(map(coord, a)), tuple(map(coord, b)))
+    r = exact_clip(s, W)
+    assert type(r) is tuple and r is not s and len(r) == 2
+    for p, given in zip(r, s):
+        assert type(p) is tuple and p is not given and len(p) == 2
+        if p == given:
+            assert p[0] is given[0] and p[1] is given[1]
+        else:
+            assert all(type(v) is float for v in p)
+    assert r == frac_clip(s, W)
 
 
 # --- corpus generation ------------------------------------------------------
