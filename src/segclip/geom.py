@@ -176,7 +176,7 @@ def format_coord(v: float) -> str:
     return _COORD % float(v)
 
 
-def segment_line(s: Segment) -> str:
+def segment_line(s: SegmentTuple) -> str:
     (x1, y1), (x2, y2) = s
     return _LINE % (float(x1), float(y1), float(x2), float(y2))
 
@@ -274,7 +274,7 @@ def read_segments(path) -> list[SegmentTuple]:
         return parse_segments(f)
 
 
-def write_segments(path, segments: Iterable[Segment]) -> None:
+def write_segments(path, segments: Iterable[SegmentTuple]) -> None:
     """Write one `segment_line` per segment, consuming `segments` once.
 
     Each chunk is formatted with one `%` over its flat coordinates.  `%.9g`

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .baselines import clip_many, get_clipper
-from .geom import (DEFAULT_WINDOW, Counters, Segment, SegmentTuple, Window,
+from .geom import (DEFAULT_WINDOW, Counters, SegmentTuple, Window,
                    gc_paused, validate_window)
 
 # sampling region extent over window extent: segments then land in a useful
@@ -120,7 +120,7 @@ def _window_frame(w: Window) -> tuple:
 _last_frame = (None, None)  # (window, its frame) for the last window seen
 
 
-def exact_clip(s: Segment, w: Window) -> Optional[SegmentTuple]:
+def exact_clip(s: SegmentTuple, w: Window) -> Optional[SegmentTuple]:
     """Mathematically exact closed-window clipping, rounded once to floats.
 
     Accepts float, int or Fraction coordinates.  Returns None when the

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .geom import (NonFiniteError, Segment, Window, format_coord,
+from .geom import (NonFiniteError, SegmentTuple, Window, format_coord,
                    validate_window)
 
 PAD_FRACTION = 0.10
 PX_WIDTH = 800
 
 
-def _viewport(inputs: list[Segment], window: Window) -> Window:
+def _viewport(inputs: list[SegmentTuple], window: Window) -> Window:
     xs = [window.x_left, window.x_right]
     ys = [window.y_bottom, window.y_top]
     for (ax, ay), (bx, by) in inputs:
@@ -30,7 +30,7 @@ def _viewport(inputs: list[Segment], window: Window) -> Window:
     return Window(x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad)
 
 
-def _lines(segments: Iterable[Segment], stroke: str, stroke_width: str) -> list[str]:
+def _lines(segments: Iterable[SegmentTuple], stroke: str, stroke_width: str) -> list[str]:
     group = [f'  <g stroke="{stroke}" stroke-width="{stroke_width}" '
              f'stroke-linecap="round">']
     for (ax, ay), (bx, by) in segments:
@@ -40,7 +40,7 @@ def _lines(segments: Iterable[Segment], stroke: str, stroke_width: str) -> list[
     return group
 
 
-def render_svg(inputs: list[Segment], clipped: list[Segment], window: Window) -> str:
+def render_svg(inputs: list[SegmentTuple], clipped: list[SegmentTuple], window: Window) -> str:
     """SVG 1.1 document for one clipping run (clipped segments drawn above
     the inputs, window outline on top).  Raises what `validate_window`
     raises for an invalid window, and NonFiniteError when the padded

@@ -204,7 +204,8 @@ def test_batch_kernels_equal_one_at_a_time(kernel, segments, w):
 @pytest.mark.parametrize("kernel", list(BATCH_KERNELS.values()))
 @pytest.mark.parametrize("w", CORPUS_WINDOWS)
 def test_batch_kernels_equal_one_at_a_time_on_corpus(kernel, w):
-    segments = gen_segments(GeneratorSpec(1, 20_000, default_region(w)))
+    segments = (gen_segments(GeneratorSpec(1, 20_000, default_region(w)))
+                + gen_segments(GeneratorSpec(4, 2_000, default_region(w))))
     assert_batch_equals_one_at_a_time(kernel, segments, w)
 
 
@@ -246,49 +247,26 @@ def _coordinates(results):
 
 
 @pytest.mark.parametrize("cid", list(CLIPPERS))
-def test_clip_many_equals_per_call_clipper(cid):
+def test_clip_many_on_generated_tuples_equals_on_segments(cid, tmp_path):
+    # the generator and the parser return plain tuples, not Segments of
+    # Points; at every corpus window, the float clippers' overflows and
+    # underflows included, and on a corpus written and read back, the shape
+    # of the input moves no output bit and no count
     clip = get_clipper(cid)
-    for w in CORPUS_WINDOWS:
-        segments = gen_segments(GeneratorSpec(4, 2_000, default_region(w)))
-        c_many, c_call = Counters(), Counters()
-        assert (_coordinates(clip_many(clip, segments, w, c_many))
-                == _coordinates([clip(s, w, c_call) for s in segments]))
-        assert c_many == c_call
-
-
-@pytest.mark.parametrize("cid", list(CLIPPERS))
-def test_clip_many_on_parsed_tuples_equals_on_segments(cid, tmp_path):
-    # the parser returns plain tuples, not Segments of Points; the shape of
-    # the input moves no output bit and no count
-    clip = get_clipper(cid)
+    path = tmp_path / "segments.txt"
     for seed in (1, 2, 3):
-        path = tmp_path / f"seed{seed}.txt"
         write_segments(path, gen_segments(GeneratorSpec(seed, 5_000)))
-        parsed = read_segments(path)
-        rebuilt = [Segment(Point(*a), Point(*b)) for a, b in parsed]
-        assert parsed == rebuilt and type(parsed[0]) is tuple
-        c_parsed, c_rebuilt = Counters(), Counters()
-        assert (repr(clip_many(clip, parsed, W, c_parsed))
-                == repr(clip_many(clip, rebuilt, W, c_rebuilt)))
-        assert c_parsed == c_rebuilt
-
-
-@pytest.mark.parametrize("cid", list(CLIPPERS))
-def test_clip_many_on_generated_tuples_equals_on_segments(cid):
-    # the generator returns plain tuples too; at every corpus window, the
-    # float clippers' overflows and underflows included, the shape of the
-    # input moves no output bit and no count
-    clip = get_clipper(cid)
-    for seed in (1, 2, 3):
+        sources = [(read_segments(path), W)]
         for w in CORPUS_WINDOWS:
-            generated = gen_segments(GeneratorSpec(seed, 5_000,
-                                                   default_region(w)))
-            rebuilt = [Segment(Point(*a), Point(*b)) for a, b in generated]
-            assert generated == rebuilt and type(generated[0]) is tuple
-            c_generated, c_rebuilt = Counters(), Counters()
-            assert (repr(clip_many(clip, generated, w, c_generated))
+            sources.append((gen_segments(GeneratorSpec(seed, 5_000,
+                                                       default_region(w))), w))
+        for plain, w in sources:
+            rebuilt = [Segment(Point(*a), Point(*b)) for a, b in plain]
+            assert plain == rebuilt and type(plain[0]) is tuple
+            c_plain, c_rebuilt = Counters(), Counters()
+            assert (repr(clip_many(clip, plain, w, c_plain))
                     == repr(clip_many(clip, rebuilt, w, c_rebuilt)))
-            assert c_generated == c_rebuilt
+            assert c_plain == c_rebuilt
 
 
 @pytest.mark.parametrize("cid", list(CLIPPERS))
@@ -296,13 +274,16 @@ def test_clip_many_on_generated_tuples_equals_on_segments(cid):
 def test_result_types_at_both_edges(cid, w):
     # a batch kernel builds a new plain ((x1, y1), (x2, y2)) tuple for
     # every accepted segment, moved or not, and holds on to no input
-    # object.  The per-call clipper returns a Segment of Points
-    segments = gen_segments(GeneratorSpec(1, 2_000, default_region(w)))
-    batch = BATCH_KERNELS[cid](segments, w, Counters())
+    # object.  The per-call clipper returns a Segment of Points, and counts
+    # what the kernel counts
+    segments = (gen_segments(GeneratorSpec(1, 2_000, default_region(w)))
+                + gen_segments(GeneratorSpec(4, 2_000, default_region(w))))
+    c_batch, c_call = Counters(), Counters()
+    batch = BATCH_KERNELS[cid](segments, w, c_batch)
     clip = get_clipper(cid)
     seen = set()
     for s, r in zip(segments, batch):
-        one = clip(s, w, Counters())
+        one = clip(s, w, c_call)
         if r is None:
             assert one is None
             continue
@@ -316,6 +297,7 @@ def test_result_types_at_both_edges(cid, w):
         assert (repr((one.a.x, one.a.y, one.b.x, one.b.y))
                 == repr((*r[0], *r[1])))
     assert seen == {False, True}  # moved and unmoved outputs both occur
+    assert c_call == c_batch
 
 
 def test_clip_many_calls_other_clippers_once_per_segment():

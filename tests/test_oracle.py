@@ -374,20 +374,6 @@ def test_gen_produces_all_dispositions():
 # --- differential checking ----------------------------------------------------
 
 
-def test_check_equivalence_quadclip_clean():
-    report = check_equivalence("quadclip", GeneratorSpec(seed=7, count=100_000), W)
-    assert report.cases_run == 100_000
-    assert report.decision_mismatches == 0
-    assert report.coordinate_mismatches == 0
-    assert report.ok
-    assert "OK" in report.summary()
-
-
-def test_check_equivalence_baseline_clean():
-    report = check_equivalence("cs", GeneratorSpec(seed=7, count=100_000), W)
-    assert report.ok
-
-
 def test_check_equivalence_empty_corpus():
     report = check_equivalence("quadclip", GeneratorSpec(seed=7, count=0), W)
     assert report.cases_run == 0
