@@ -150,8 +150,10 @@ class SegmentFormatError(ValueError):
 def validate_window(w: Window) -> Window:
     """Return w unchanged, or raise for non-finite or inverted bounds.
     A valid window is not yet one at which quadclip and cs answer right:
-    they do not at `0,0,1e-300,1e-300` or `0,0,1e160,1e160` (README,
-    "Where the float clippers are wrong today")."""
+    they do not at `0,0,1e-300,1e-300` or `0,0,1e160,1e160`, and at
+    `100000000,100000000,100000010,100000010` their coordinates are a few
+    ulps off, past `check_equivalence`'s default allowance (README, "Where
+    the float clippers are wrong today")."""
     if not (math.isfinite(w[0]) and math.isfinite(w[1])
             and math.isfinite(w[2]) and math.isfinite(w[3])):
         raise NonFiniteError(f"window bounds must be finite: {w!r}")

@@ -253,15 +253,14 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
     allowance tolerance * max(1, window extent), and a NaN coordinate is an
     infinite error; accept/reject decisions must agree exactly.  Raises
     UnknownClipperError for an unknown id and ValueError unless the window
-    and the spec's region are valid windows, the region's width and height
-    are finite, the tolerance is finite and >= 0, and the allowance is
-    finite: no error, not even a NaN output's, would exceed an infinite one.
+    is valid, the tolerance is finite and >= 0, the allowance is finite (no
+    error, not even a NaN output's, would exceed an infinite one), and the
+    spec's region has a finite width and height, which `gen_segments`
+    checks.
     """
     global _cached
     clip = get_clipper(clipper)
     validate_window(w)
-    # a default region can overflow where the window does not
-    validate_window(spec.region)
     if not 0.0 <= tolerance < math.inf:  # also false for NaN
         raise ValueError(
             f"tolerance must be finite and >= 0: {tolerance!r}")

@@ -425,10 +425,13 @@ _NO_DIR = ("cannot write {tmp}/missing-dir/out: "
     pytest.param("verify --count 20 --algo _always_reject "
                  "--failures {tmp}/missing-dir/out", _NO_DIR,
                  _always_reject, id="failures-unwritable"),
-    pytest.param("verify --count 10 --window 0,0,1e308,1e308",
-                 "window bounds must be finite: Window(x_left=-inf, "
-                 "x_right=inf, y_bottom=-inf, y_top=inf)", None,
-                 id="verify-region-overflows"),
+    # the sampling region, 3x the window's extent, overflows; no failures
+    # file is written
+    pytest.param("verify --count 10 --window 0,0,1e308,1e308 "
+                 "--failures {tmp}/out",
+                 "sampling region width and height must be finite: "
+                 "Window(x_left=-inf, x_right=inf, y_bottom=-inf, y_top=inf)",
+                 None, id="verify-region-overflows"),
     pytest.param("bench -o {tmp}/out --sizes 100,10",
                  "sizes must be strictly ascending: (100, 10)", None,
                  id="descending-sizes"),

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from segclip import (Counters, EquivalenceReport, GeneratorSpec,
-                     NonFiniteError, Point, Segment, UnknownClipperError,
-                     Window, check_equivalence, default_region, exact_clip,
-                     gen_segments)
+from segclip import (Counters, EquivalenceReport, GeneratorSpec, Point,
+                     Segment, UnknownClipperError, Window, check_equivalence,
+                     default_region, exact_clip, gen_segments)
 import segclip.baselines as baselines
 import segclip.oracle as oracle
 from segclip.quadclip import clip_endpoint, clip_segment
@@ -567,15 +566,6 @@ def test_check_equivalence_oracle_paths_agree(monkeypatch, w):
         assert a == b and a.summary() == b.summary(), a.clipper
 
 
-def test_check_equivalence_rejects_a_region_that_is_not_finite():
-    # the default region, 3x the window's extent, overflows to +-inf here
-    w = Window(0.0, 1e308, 0.0, 1e308)
-    spec = GeneratorSpec(seed=1, count=10, region=default_region(w))
-    with pytest.raises(NonFiniteError,
-                       match="window bounds must be finite: Window"):
-        check_equivalence("quadclip", spec, w)
-
-
 def test_check_equivalence_starts_no_collection():
     # the clip results are compared and freed inside the pause.  The
     # oracle's cached corpus outlives the pause that builds it, by design,
@@ -763,10 +753,12 @@ def test_check_equivalence_golden_reports(w, want):
 @pytest.mark.parametrize("region", [
     Window(-1e308, 1e308, -1e308, 1e308),
     Window(0.0, 1.0, -1e308, 1e308),  # only the height overflows
+    # 3x the window's extent: the bounds themselves overflow to +-inf
+    default_region(Window(0.0, 1e308, 0.0, 1e308)),
 ])
 def test_gen_and_check_refuse_a_region_whose_extent_overflows(region):
-    # the bounds are finite, but xr - xl or yt - yb is inf, so every
-    # coordinate drawn would be infinite or NaN
+    # xr - xl or yt - yb is inf, so every coordinate drawn would be
+    # infinite or NaN
     spec = GeneratorSpec(seed=5, count=200, region=region)
     message = re.escape("sampling region width and height must be finite: "
                         f"{region!r}")
@@ -775,3 +767,14 @@ def test_gen_and_check_refuse_a_region_whose_extent_overflows(region):
     for cid in ("quadclip", "cs", "lb"):
         with pytest.raises(ValueError, match=message):
             check_equivalence(cid, spec, W)
+
+
+def test_check_equivalence_samples_an_inverted_region():
+    # the region is a sampling box, not a window: `gen_segments` draws
+    # from it whichever way round its bounds are, and its width and height
+    # check is the one rule `check_equivalence` applies to it
+    spec = GeneratorSpec(seed=3, count=5, region=Window(10.0, 0.0, 0.0, 10.0))
+    assert len(gen_segments(spec)) == 5
+    for cid in ("quadclip", "cs", "lb"):
+        report = check_equivalence(cid, spec, W)
+        assert report.cases_run == 5 and report.ok
