@@ -38,16 +38,19 @@ def cs_clip_segments(segments, w: Window,
     Boundary processing order is fixed (left, right, bottom, top) so the
     instrumentation counters are deterministic; the order does not affect
     the output.  Every boundary-line intersection computed counts, whether
-    or not it survives into the result.  The counts are added to
-    `counters` once per call.
+    or not it survives into the result.
+
+    Counts are taken where they cannot be derived: `ic` counts the
+    intersections, one per pass of the clipping loop, and each pass also
+    codes its moved endpoint.  Every segment codes its two endpoints, so
+    the once-per-call flush adds `2 * len(out) + ic` predicate evaluations
+    and `ic` divisions and intersections to `counters`.
     """
     xl, xr, yb, yt = w
-    pe = 0
     ic = 0
     out = []
     append = out.append
     for (x1, y1), (x2, y2) in segments:
-        pe += 2  # the two initial outcodes
         code1 = INSIDE
         if x1 < xl:
             code1 = LEFT
@@ -83,7 +86,6 @@ def cs_clip_segments(segments, w: Window,
             else:  # TOP
                 x = x1 + (x2 - x1) * (yt - y1) / (y2 - y1)
                 y = yt
-            pe += 1  # outcode of the moved endpoint
             ncode = INSIDE
             if x < xl:
                 ncode = LEFT
@@ -103,7 +105,7 @@ def cs_clip_segments(segments, w: Window,
         else:
             append(((x1, y1), (x2, y2)))
 
-    counters.predicate_evals += pe
+    counters.predicate_evals += 2 * len(out) + ic
     counters.divisions += ic
     counters.intersections_computed += ic
     return out
@@ -117,8 +119,7 @@ def lb_clip_segments(segments, w: Window,
 
     Each boundary contributes a constraint p*t <= q; a division is spent on
     every boundary whose p is nonzero, even when the segment ends up
-    rejected or the parameter is discarded.  The counts are added to
-    `counters` once per call.
+    rejected or the parameter is discarded.
 
     As in Liang and Barsky's clipT, the four boundaries are tested one
     after another (left, right, bottom, top), each forming its p and q
@@ -126,10 +127,18 @@ def lb_clip_segments(segments, w: Window,
     This is the hot path, so the tests are written out in turn instead of
     looping over a tuple of (p, q) pairs; results and counts are those of
     the loop, which the test suite keeps as the readable reference.
+
+    Counts are taken once where each path ends, not at every test.  Every
+    boundary tested is one predicate evaluation and, unless its p is zero,
+    one division.  A rejection at the left, right or bottom boundary adds
+    the 3, 2 or 1 boundaries it leaves untested to `sk`, and every tested
+    boundary whose p is zero adds 1 to `zp`.  The once-per-call flush adds
+    `pe = 4 * len(out) - sk` predicate evaluations, `pe - zp` divisions
+    and `ic` intersections to `counters`.
     """
     xl, xr, yb, yt = w
-    pe = 0
-    dv = 0
+    sk = 0
+    zp = 0
     ic = 0
     out = []
     append = out.append
@@ -139,15 +148,15 @@ def lb_clip_segments(segments, w: Window,
         t0 = 0.0
         t1 = 1.0
         # left: p = -dx, q = x1 - xl
-        pe += 1
         p = -dx
         q = x1 - xl
         if p == 0.0:
+            zp += 1
             if q < 0.0:
+                sk += 3
                 append(None)  # parallel to this boundary and outside it
                 continue
         else:
-            dv += 1
             r = q / p
             if p < 0.0:  # entering constraint: t >= r
                 if r > t0:
@@ -155,17 +164,18 @@ def lb_clip_segments(segments, w: Window,
             elif r < t1:  # leaving constraint: t <= r
                 t1 = r
             if t0 > t1:
+                sk += 3
                 append(None)  # no parameter satisfies every constraint
                 continue
         # right: p = dx, q = xr - x1
-        pe += 1
         q = xr - x1
         if dx == 0.0:
+            zp += 1
             if q < 0.0:
+                sk += 2
                 append(None)
                 continue
         else:
-            dv += 1
             r = q / dx
             if dx < 0.0:
                 if r > t0:
@@ -173,18 +183,19 @@ def lb_clip_segments(segments, w: Window,
             elif r < t1:
                 t1 = r
             if t0 > t1:
+                sk += 2
                 append(None)
                 continue
         # bottom: p = -dy, q = y1 - yb
-        pe += 1
         p = -dy
         q = y1 - yb
         if p == 0.0:
+            zp += 1
             if q < 0.0:
+                sk += 1
                 append(None)
                 continue
         else:
-            dv += 1
             r = q / p
             if p < 0.0:
                 if r > t0:
@@ -192,17 +203,17 @@ def lb_clip_segments(segments, w: Window,
             elif r < t1:
                 t1 = r
             if t0 > t1:
+                sk += 1
                 append(None)
                 continue
         # top: p = dy, q = yt - y1
-        pe += 1
         q = yt - y1
         if dy == 0.0:
+            zp += 1
             if q < 0.0:
                 append(None)
                 continue
         else:
-            dv += 1
             r = q / dy
             if dy < 0.0:
                 if r > t0:
@@ -221,8 +232,9 @@ def lb_clip_segments(segments, w: Window,
             x1, y1 = x1 + t0 * dx, y1 + t0 * dy
         append(((x1, y1), (x2, y2)))
 
+    pe = 4 * len(out) - sk
     counters.predicate_evals += pe
-    counters.divisions += dv
+    counters.divisions += pe - zp
     counters.intersections_computed += ic
     return out
 

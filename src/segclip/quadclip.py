@@ -144,9 +144,16 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     section always overwrites the flag it sets.  Each section forms a
     difference once and reuses it: as `xl - ax` is exactly `-(ax - xl)`,
     `ay - (by - ay) * v / (bx - ax)` is `clip_endpoint`'s `y1 + (y2 - y1) *
-    (xl - x1) / (x2 - x1)` bit for bit.  The counts stay in locals until
-    they are added to `counters` once per call; results and counts are
-    identical to the two-call composition, which the test suite pins.
+    (xl - x1) / (x2 - x1)` bit for bit.
+
+    Counts are taken once where each path ends, not at every test.  A
+    section that tests corners ends in one of three tallies: `pe += 1`
+    when its first corner test rejects, `pe += 2` when its second does,
+    and `ic += 1` when both pass and the endpoint moves (two predicates
+    and one division).  The tallies stay in locals until they are added
+    to `counters` once per call: `pe + 2 * ic` predicate evaluations and
+    `ic` divisions and intersections.  Results and counts are identical
+    to the two-call composition, which the test suite pins.
     """
     xl, xr, yb, yt = w
     pe = 0
@@ -156,62 +163,61 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     for (ax, ay), (bx, by) in segments:
         for _ in (0, 1):
             # x section: a predicate rejection (passes above the top or
-            # below the bottom corner) leaves the endpoint for the y section;
-            # a product can be NaN, so `not (a < b)` is not `a >= b`
+            # below the bottom corner) leaves the endpoint for the y section.
+            # A NaN product makes a predicate False, so the endpoint moves,
+            # as `clip_endpoint`'s `else` branches do
             if ax < xl:
                 if bx < xl:
                     break
-                pe += 1
                 u = xl - bx
                 v = ax - xl
-                # not (passes above the top-left corner)
-                if not (u * (ay - yt) < v * (yt - by)):
-                    pe += 1
-                    # not (passes below the bottom-left corner)
-                    if not (u * (ay - yb) > v * (yb - by)):
-                        ic += 1
-                        ay = ay - (by - ay) * v / (bx - ax)
-                        ax = xl
+                if u * (ay - yt) < v * (yt - by):
+                    pe += 1  # passes above the top-left corner
+                elif u * (ay - yb) > v * (yb - by):
+                    pe += 2  # passes below the bottom-left corner
+                else:
+                    ic += 1
+                    ay = ay - (by - ay) * v / (bx - ax)
+                    ax = xl
             elif ax > xr:
                 if bx > xr:
                     break
-                pe += 1
                 u = xr - bx
                 v = ax - xr
-                # not (passes above the top-right corner)
-                if not (u * (ay - yt) > v * (yt - by)):
-                    pe += 1
-                    # not (passes below the bottom-right corner)
-                    if not (u * (ay - yb) < v * (yb - by)):
-                        ic += 1
-                        ay = ay - (by - ay) * v / (bx - ax)
-                        ax = xr
+                if u * (ay - yt) > v * (yt - by):
+                    pe += 1  # passes above the top-right corner
+                elif u * (ay - yb) < v * (yb - by):
+                    pe += 2  # passes below the bottom-right corner
+                else:
+                    ic += 1
+                    ay = ay - (by - ay) * v / (bx - ax)
+                    ax = xr
 
             if ay < yb:
                 if by < yb:
                     break
-                pe += 1
                 u = ay - yb
                 v = yb - by
                 if (xl - bx) * u < (ax - xl) * v:
-                    break  # passes left of the bottom-left corner
-                pe += 1
+                    pe += 1  # passes left of the bottom-left corner
+                    break
                 if (xr - bx) * u > (ax - xr) * v:
-                    break  # passes right of the bottom-right corner
+                    pe += 2  # passes right of the bottom-right corner
+                    break
                 ic += 1
                 ax = ax - (bx - ax) * u / (by - ay)
                 ay = yb
             elif ay > yt:
                 if by > yt:
                     break
-                pe += 1
                 u = ay - yt
                 v = yt - by
                 if (xl - bx) * u > (ax - xl) * v:
-                    break  # passes left of the top-left corner
-                pe += 1
+                    pe += 1  # passes left of the top-left corner
+                    break
                 if (xr - bx) * u < (ax - xr) * v:
-                    break  # passes right of the top-right corner
+                    pe += 2  # passes right of the top-right corner
+                    break
                 ic += 1
                 ax = ax - (bx - ax) * u / (by - ay)
                 ay = yt
@@ -224,7 +230,7 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
             continue
         append(None)
 
-    counters.predicate_evals += pe
+    counters.predicate_evals += pe + 2 * ic
     counters.divisions += ic
     counters.intersections_computed += ic
     return out

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies, the batch-kernel check they feed, a
-cyclic-GC collection counter and a spy on how long results live.
+comparable form of clip results, a cyclic-GC collection counter and a spy
+on how long results live.
 
 Property tests draw coordinates from a 1/8 grid: every corner-orientation
 product is then exact in double precision, so the clippers' control flow
@@ -99,6 +100,14 @@ def special_segments(draw):
     return w, Segment(Point(draw(xs), draw(ys)), Point(draw(xs), draw(ys)))
 
 
+def coordinates(results):
+    """Each result's four coordinates as one repr, None for a rejection:
+    NaN-safe, and -0.0 is not 0.0.  Lists of short strings, so that a
+    failing comparison reports its first differing index at once instead
+    of diffing two whole-corpus reprs character by character."""
+    return [None if r is None else repr((*r[0], *r[1])) for r in results]
+
+
 def assert_batch_equals_one_at_a_time(kernel, segments, w: Window) -> None:
     """`kernel` over the whole corpus gives the results and the counter
     totals of feeding it one segment at a time."""
@@ -106,7 +115,7 @@ def assert_batch_equals_one_at_a_time(kernel, segments, w: Window) -> None:
     batch = kernel(segments, w, c_batch)
     single = [kernel((s,), w, c_single)[0] for s in segments]
     assert type(batch) is list and len(batch) == len(segments)
-    assert repr(batch) == repr(single)  # NaN-safe; tells -0.0 from 0.0
+    assert coordinates(batch) == coordinates(single)
     assert c_batch == c_single
 
 
