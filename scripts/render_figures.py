@@ -17,9 +17,8 @@ from segclip.svg import render_svg
 def render_corpus(count: int, seed: int, out_dir: pathlib.Path) -> pathlib.Path:
     segments = gen_segments(GeneratorSpec(seed=seed, count=count))
     counters = Counters()
-    clipped = [r for r in clip_many(clip_segment, segments, DEFAULT_WINDOW,
-                                    counters)
-               if r is not None]
+    clipped = list(filter(None, clip_many(clip_segment, segments,
+                                          DEFAULT_WINDOW, counters)))
     path = out_dir / f"clip_{count}.svg"
     path.write_text(render_svg(segments, clipped, DEFAULT_WINDOW))
     print(f"{path}: {len(segments)} segments in, {len(clipped)} clipped, "

@@ -11,7 +11,7 @@ uniform signature (segment, window, counters) -> clipped Segment or None,
 so the benchmark, verification and CLI treat every algorithm identically.
 Each is `geom.per_call` of its algorithm's batch kernel, which it carries
 as `.kernel`, and `clip_many` clips a whole corpus with that kernel, whose
-results are plain ((x1, y1), (x2, y2)) tuples.
+results are flat rows (x1, y1, x2, y2).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ TOP = 8
 def cs_clip_segments(segments, w: Window,
                      counters: Counters) -> list[ClipResult]:
     """Cohen-Sutherland clipping of every segment: one result per input,
-    in order, None for a rejection and a new plain tuple ((x1, y1), (x2,
-    y2)) for an acceptance.
+    in order, None for a rejection and a new flat row (x1, y1, x2, y2) of
+    floats for an acceptance.
 
     Boundary processing order is fixed (left, right, bottom, top) so the
     instrumentation counters are deterministic; the order does not affect
@@ -103,7 +103,7 @@ def cs_clip_segments(segments, w: Window,
         if code1 | code2:
             append(None)
         else:
-            append(((x1, y1), (x2, y2)))
+            append((x1, y1, x2, y2))
 
     counters.predicate_evals += 2 * len(out) + ic
     counters.divisions += ic
@@ -115,7 +115,7 @@ def lb_clip_segments(segments, w: Window,
                      counters: Counters) -> list[ClipResult]:
     """Liang-Barsky clipping of every parametric segment, t confined to
     [0, 1]: one result per input, in order, None for a rejection and a new
-    plain tuple ((x1, y1), (x2, y2)) for an acceptance.
+    flat row (x1, y1, x2, y2) of floats for an acceptance.
 
     Each boundary contributes a constraint p*t <= q; a division is spent on
     every boundary whose p is nonzero, even when the segment ends up
@@ -230,7 +230,7 @@ def lb_clip_segments(segments, w: Window,
         if t0 > 0.0:
             ic += 1
             x1, y1 = x1 + t0 * dx, y1 + t0 * dy
-        append(((x1, y1), (x2, y2)))
+        append((x1, y1, x2, y2))
 
     pe = 4 * len(out) - sk
     counters.predicate_evals += pe
@@ -264,16 +264,18 @@ def get_clipper(name: str) -> ClipFn:
 
 def clip_many(clip: ClipFn, segments, w: Window,
               counters: Counters) -> list[ClipResult]:
-    """`[clip(s, w, counters) for s in segments]`, computed by one call of
-    `clip.kernel` when `clip` was built by `geom.per_call`.  The kernel's
-    list is returned as it is: its results equal the per-call clipper's,
-    but are plain ((x1, y1), (x2, y2)) tuples, so callers unpack or index
-    them.
+    """`clip(s, w, counters)` of each segment, in order, as None or a flat
+    row (x1, y1, x2, y2): the coordinates of the per-call clipper's
+    result, endpoints in order.
 
+    When `clip` was built by `geom.per_call`, one call of `clip.kernel`
+    computes them, and the kernel's list of rows is returned as it is.
     Any other callable (a test's fake clipper, a tracing wrapper) has no
-    `.kernel` and is called once per segment, in order.
+    `.kernel`: it is called once per segment, in order, and each result it
+    returns other than None, an endpoint pair, is flattened to a row.
     """
     kernel = getattr(clip, "kernel", None)
     if kernel is None:
-        return [clip(s, w, counters) for s in segments]
+        return [None if (r := clip(s, w, counters)) is None
+                else (*r[0], *r[1]) for s in segments]
     return kernel(segments, w, counters)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .baselines import CLIPPERS, clip_many, get_clipper
-from .geom import DEFAULT_WINDOW, Counters, SegmentTuple, Window, gc_paused
+from .geom import (DEFAULT_WINDOW, Counters, SegmentRow, SegmentTuple,
+                   Window, gc_paused)
 from .oracle import GeneratorSpec, gen_segments
 
 DEFAULT_SIZES = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -74,9 +75,10 @@ def pass_seed(base_seed: int, size: int, pass_index: int) -> int:
     return (base_seed * 1_000_003 + size) * 1_009 + pass_index
 
 
-def checksum_segments(segments: Iterable[SegmentTuple]) -> float:
-    """Order-independent sum of coordinates, each rounded to 6 decimals:
-    the integers `round(v * 1e6)`, summed exactly, over 1e6.  Raises
+def checksum_segments(segments: Iterable[SegmentRow]) -> float:
+    """Order-independent sum of the coordinates of rows (x1, y1, x2, y2),
+    as the clippers return them, each rounded to 6 decimals: the integers
+    `round(v * 1e6)`, summed exactly, over 1e6.  Raises
     ValueError naming the first segment with a coordinate v for which
     v * 1e6 is not finite: v is a NaN or an infinity, or so large that
     the product overflows.  Being absolute to 1e-6, the checksum cannot
@@ -91,9 +93,9 @@ def checksum_segments(segments: Iterable[SegmentTuple]) -> float:
     r = float.__round__
     try:
         micro = sum([r(ax * 1e6) + r(ay * 1e6) + r(bx * 1e6) + r(by * 1e6)
-                     for (ax, ay), (bx, by) in segments])
+                     for ax, ay, bx, by in segments])
     except (OverflowError, ValueError):  # round() of an inf or a NaN
-        for (ax, ay), (bx, by) in segments:  # find the segment to name
+        for ax, ay, bx, by in segments:  # find the segment to name
             try:
                 r(ax * 1e6) + r(ay * 1e6) + r(bx * 1e6) + r(by * 1e6)
             except (OverflowError, ValueError):
@@ -120,12 +122,14 @@ def time_algorithm(clipper, segments: list[SegmentTuple],
     # before GC resumes so that no collection rescans them afterwards
     with gc_paused():
         start = time.perf_counter()
-        accepted = [r for r in clip_many(clip, segments, w, counters)
-                    if r is not None]
+        accepted = list(filter(None, clip_many(clip, segments, w, counters)))
         elapsed_ms = (time.perf_counter() - start) * 1e3
         checksum = checksum_segments(accepted)
         del accepted
-    return elapsed_ms, checksum
+        # built inside the pause: results freed onto the tuple free list
+        # do not lower the collector's allocation count, so a new tuple
+        # after the pause could start a collection within this call
+        return elapsed_ms, checksum
 
 
 def run_suite(config: BenchConfig) -> list[BenchRow]:

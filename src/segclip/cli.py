@@ -134,9 +134,8 @@ def _clip_file(args):
                                           Counters())))
     # a NaN or an infinity makes the sum non-finite; so does a sum of
     # finite coordinates that overflows, which the walk lets through
-    coordinates = chain.from_iterable(chain.from_iterable(clipped))
-    if not math.isfinite(sum(coordinates)):
-        for (x1, y1), (x2, y2) in clipped:
+    if not math.isfinite(sum(chain.from_iterable(clipped))):
+        for x1, y1, x2, y2 in clipped:
             # a zero for finite v, NaN otherwise
             if x1 * 0.0 + y1 * 0.0 + x2 * 0.0 + y2 * 0.0 != 0.0:
                 raise RuntimeError(

@@ -44,22 +44,26 @@ DEFAULT_WINDOW = Window(0.0, 10.0, 0.0, 10.0)
 
 
 # A plain endpoint pair ((x1, y1), (x2, y2)): the shape `parse_segments` and
-# `oracle.gen_segments` return and every batch kernel builds.  It compares
-# equal to the Segment of Points with the same coordinates, but has no `.a`
-# or `.x`; callers unpack or index it.  Exact tuples are what CPython
-# unpacks fastest.
+# `oracle.gen_segments` return.  It compares equal to the Segment of Points
+# with the same coordinates, but has no `.a` or `.x`; callers unpack or
+# index it.  Exact tuples are what CPython unpacks fastest.
 SegmentTuple = tuple[tuple[float, float], tuple[float, float]]
 
+# A flat row (x1, y1, x2, y2) of floats: the shape every batch kernel and
+# `baselines.clip_many` build for an accepted segment, one tuple where a
+# SegmentTuple takes three.
+SegmentRow = tuple[float, float, float, float]
+
 # A clipper either rejects a segment outright (None) or accepts a possibly
-# degenerate clipped segment.  The batch kernels build a new SegmentTuple for
+# degenerate clipped segment.  The batch kernels build a new SegmentRow for
 # every accepted segment, moved or not; only the per-call clippers that
 # `per_call` builds return Segments of Points, with `.a` and `.x`.
-ClipResult = Optional[SegmentTuple]
+ClipResult = Optional[SegmentRow]
 
 
 def per_call(kernel, name: str):
     """The per-call clipper `name(segment, window, counters)` of a batch
-    kernel: one kernel call on the one segment, whose result it returns as
+    kernel: one kernel call on the one segment, whose row it returns as
     None or a new Segment of Points.  The clipper carries the kernel as
     `.kernel`, which `baselines.clip_many` runs on a whole corpus."""
     new = tuple.__new__  # skips the named tuples' own __new__
@@ -68,8 +72,7 @@ def per_call(kernel, name: str):
         r = kernel((s,), w, counters)[0]
         if r is None:
             return None
-        a, b = r
-        return new(Segment, (new(Point, a), new(Point, b)))
+        return new(Segment, (new(Point, r[:2]), new(Point, r[2:])))
 
     # assigned to `name` in the kernel's module, it pickles by that name
     clip.__name__ = clip.__qualname__ = name
@@ -178,9 +181,23 @@ def format_coord(v: float) -> str:
     return _COORD % float(v)
 
 
-def segment_line(s: SegmentTuple) -> str:
-    (x1, y1), (x2, y2) = s
-    return _LINE % (float(x1), float(y1), float(x2), float(y2))
+def flat_coordinates(segments: list) -> Iterable[float]:
+    """The coordinates x1, y1, x2, y2 of each of `segments`, in order.
+
+    The segments are all SegmentRows, as the clippers return, or all
+    endpoint pairs (SegmentTuples or Segments), as the parser and the
+    generator return; the first one's length tells which.  A list that
+    mixes the two raises TypeError where its coordinates are used: a float
+    is not iterable, and a pair is not a number."""
+    flat = chain.from_iterable(segments)
+    if segments and len(segments[0]) == 2:
+        return chain.from_iterable(flat)
+    return flat
+
+
+def segment_line(s) -> str:
+    """The text line of one segment, a SegmentRow or an endpoint pair."""
+    return _LINE % tuple(map(float, flat_coordinates([s])))
 
 
 _CHUNK = 1024  # lines converted (or segments written) per step
@@ -276,8 +293,9 @@ def read_segments(path) -> list[SegmentTuple]:
         return parse_segments(f)
 
 
-def write_segments(path, segments: Iterable[SegmentTuple]) -> None:
-    """Write one `segment_line` per segment, consuming `segments` once.
+def write_segments(path, segments: Iterable) -> None:
+    """Write one `segment_line` per segment, consuming `segments` once:
+    SegmentRows or endpoint pairs, as `flat_coordinates` takes them.
 
     Each chunk is formatted with one `%` over its flat coordinates.  `%.9g`
     converts an int or a Fraction as `float()` does, so the bytes equal
@@ -287,5 +305,4 @@ def write_segments(path, segments: Iterable[SegmentTuple]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         write = f.write
         while chunk := list(islice(segments, _CHUNK)):
-            write((line * len(chunk))
-                  % tuple(chain.from_iterable(chain.from_iterable(chunk))))
+            write((line * len(chunk)) % tuple(flat_coordinates(chunk)))

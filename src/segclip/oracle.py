@@ -125,14 +125,14 @@ def exact_clip(s: SegmentTuple, w: Window) -> Optional[SegmentTuple]:
 
     Accepts float, int or Fraction coordinates.  Returns None when the
     parametric interval is empty, and otherwise a new plain tuple ((x1,
-    y1), (x2, y2)), the batch kernels' result contract, even for a segment
-    wholly inside.  An endpoint the interval keeps (t = 0 or t = 1) keeps
-    the input's own coordinates, so int and Fraction coordinates come back
-    as they went in.  A moved endpoint lies on the window edge that moved
-    it and takes that edge's float; its other coordinate is the float
-    nearest the exact value (`int / int` rounds correctly, so each is bit
-    for bit `float(Fraction)`).  A single-point overlap yields a
-    degenerate result whose two endpoints are equal.
+    y1), (x2, y2)), even for a segment wholly inside.  An endpoint the
+    interval keeps (t = 0 or t = 1) keeps the input's own coordinates, so
+    int and Fraction coordinates come back as they went in.  A moved
+    endpoint lies on the window edge that moved it and takes that edge's
+    float; its other coordinate is the float nearest the exact value (`int
+    / int` rounds correctly, so each is bit for bit `float(Fraction)`).  A
+    single-point overlap yields a degenerate result whose two endpoints
+    are equal.
 
     A segment with both endpoints strictly beyond the same boundary is
     rejected by comparing coordinates, which Python does exactly across
@@ -242,13 +242,15 @@ class EquivalenceReport:
                 f"max coordinate error {self.max_coordinate_error:.3e}")
 
 
-_cached = None  # ((spec, w, exact_clip), segments, exact results) or None
+_cached = None  # ((spec, w, exact_clip), segments, exact rows) or None
 
 
 def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
                       tolerance: float = 1e-9) -> EquivalenceReport:
     """Differential run of one clipper against the exact oracle.
 
+    The oracle's results are kept as flat rows (x1, y1, x2, y2), the shape
+    `clip_many` returns, so that an equal output compares equal at once.
     Coordinates are compared endpoint by endpoint, in order, with absolute
     allowance tolerance * max(1, window extent), and a NaN coordinate is an
     infinite error; accept/reject decisions must agree exactly.  Raises
@@ -280,8 +282,9 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
         if entry is None or entry[0] != key:
             _cached = entry = None
             segments = gen_segments(spec)
-            _cached = entry = (key, segments,
-                               [exact_clip(s, w) for s in segments])
+            _cached = entry = (key, segments, [
+                None if (e := exact_clip(s, w)) is None else (*e[0], *e[1])
+                for s in segments])
         _, segments, exacts = entry
         report = EquivalenceReport(clipper=clipper, tolerance=tolerance,
                                    cases_run=len(segments))
@@ -290,7 +293,7 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
             chunk = segments[i:i + _CHUNK]
             outs = clip_many(clip, chunk, w, counters)
             for s, out, exact in zip(chunk, outs, exacts[i:i + _CHUNK]):
-                if out == exact:  # both None, or the same points in order
+                if out == exact:  # both None, or the same rows
                     continue
                 if out is None or exact is None:
                     report.decision_mismatches += 1
@@ -299,8 +302,8 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
                 # the largest coordinate deviation, endpoints in order
                 # (every clipper keeps its input's endpoint order), and inf
                 # when an output coordinate is NaN: a sum keeps every NaN
-                (oax, oay), (obx, oby) = out
-                (eax, eay), (ebx, eby) = exact
+                oax, oay, obx, oby = out
+                eax, eay, ebx, eby = exact
                 e1, e2 = abs(oax - eax), abs(oay - eay)
                 e3, e4 = abs(obx - ebx), abs(oby - eby)
                 total = e1 + e2 + e3 + e4

@@ -131,9 +131,9 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     """Clip every segment against window w: one result per input, in order.
 
     A result is None when the segment is rejected, and otherwise a new
-    plain tuple ((x1, y1), (x2, y2)) with endpoint order preserved, moved
-    or not: callers unpack or index it, and only `clip_segment` turns it
-    into a Segment of Points.  Each segment
+    flat row (x1, y1, x2, y2) of floats with endpoint order preserved,
+    moved or not: callers unpack or index it, and only `clip_segment`
+    turns it into a Segment of Points.  Each segment
     takes two endpoint passes: first over (a, b), then -- when the first
     pass kept the segment alive -- over (b, updated a).
 
@@ -226,7 +226,7 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
             ay, by = by, ay
         else:
             # the role swap ran twice, so (ax, ay) is endpoint A again
-            append(((ax, ay), (bx, by)))
+            append((ax, ay, bx, by))
             continue
         append(None)
 

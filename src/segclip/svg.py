@@ -10,39 +10,38 @@ by 10%.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
-from .geom import (NonFiniteError, SegmentTuple, Window, format_coord,
+from .geom import (NonFiniteError, Window, flat_coordinates, format_coord,
                    validate_window)
 
 PAD_FRACTION = 0.10
 PX_WIDTH = 800
 
 
-def _viewport(inputs: list[SegmentTuple], window: Window) -> Window:
-    xs = [window.x_left, window.x_right]
-    ys = [window.y_bottom, window.y_top]
-    for (ax, ay), (bx, by) in inputs:
-        xs.extend((ax, bx))
-        ys.extend((ay, by))
+def _viewport(inputs: list, window: Window) -> Window:
+    coords = list(flat_coordinates(inputs))
+    xs = [window.x_left, window.x_right, *coords[0::2]]
+    ys = [window.y_bottom, window.y_top, *coords[1::2]]
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     pad = PAD_FRACTION * max(x_hi - x_lo, y_hi - y_lo)
     return Window(x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad)
 
 
-def _lines(segments: Iterable[SegmentTuple], stroke: str, stroke_width: str) -> list[str]:
+def _lines(segments: list, stroke: str, stroke_width: str) -> list[str]:
     group = [f'  <g stroke="{stroke}" stroke-width="{stroke_width}" '
              f'stroke-linecap="round">']
-    for (ax, ay), (bx, by) in segments:
+    xy = iter(flat_coordinates(segments))
+    for ax, ay, bx, by in zip(xy, xy, xy, xy):
         group.append(f'    <line x1="{format_coord(ax)}" y1="{format_coord(ay)}" '
                      f'x2="{format_coord(bx)}" y2="{format_coord(by)}"/>')
     group.append("  </g>")
     return group
 
 
-def render_svg(inputs: list[SegmentTuple], clipped: list[SegmentTuple], window: Window) -> str:
+def render_svg(inputs: list, clipped: list, window: Window) -> str:
     """SVG 1.1 document for one clipping run (clipped segments drawn above
-    the inputs, window outline on top).  Raises what `validate_window`
+    the inputs, window outline on top).  Each list holds SegmentRows or
+    endpoint pairs, as `geom.flat_coordinates` takes them.  Raises what `validate_window`
     raises for an invalid window, and NonFiniteError when the padded
     viewport's width or height overflows."""
     vp = _viewport(inputs, validate_window(window))

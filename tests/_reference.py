@@ -120,7 +120,7 @@ def lb_clip_segments(segments, w, counters):
             if t0 > 0.0:
                 ic += 1
                 x1, y1 = x1 + t0 * dx, y1 + t0 * dy
-            append(((x1, y1), (x2, y2)))
+            append((x1, y1, x2, y2))
             continue
         append(None)
 
@@ -132,10 +132,11 @@ def lb_clip_segments(segments, w, counters):
 
 def checksum_segments(segments) -> float:
     """`segclip.bench.checksum_segments` as one plain loop: the same sum of
-    `round(v * 1e6)` terms and the same error for a non-finite term."""
+    `round(v * 1e6)` terms over rows (x1, y1, x2, y2) and the same error
+    for a non-finite term."""
     micro = 0
     try:
-        for (ax, ay), (bx, by) in segments:
+        for ax, ay, bx, by in segments:
             micro += (round(ax * 1e6) + round(ay * 1e6)
                       + round(bx * 1e6) + round(by * 1e6))
     except (OverflowError, ValueError):  # round() of an inf or a NaN

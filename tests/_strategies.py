@@ -101,11 +101,12 @@ def special_segments(draw):
 
 
 def coordinates(results):
-    """Each result's four coordinates as one repr, None for a rejection:
-    NaN-safe, and -0.0 is not 0.0.  Lists of short strings, so that a
-    failing comparison reports its first differing index at once instead
-    of diffing two whole-corpus reprs character by character."""
-    return [None if r is None else repr((*r[0], *r[1])) for r in results]
+    """Each result row's four coordinates as one repr, None for a
+    rejection: NaN-safe, and -0.0 is not 0.0.  A result that is not a row
+    of four raises TypeError.  Lists of short strings, so that a failing
+    comparison reports its first differing index at once instead of
+    diffing two whole-corpus reprs character by character."""
+    return [None if r is None else "%r %r %r %r" % r for r in results]
 
 
 def assert_batch_equals_one_at_a_time(kernel, segments, w: Window) -> None:

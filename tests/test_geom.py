@@ -305,11 +305,17 @@ _segments = st.builds(Segment, st.builds(Point, _doubles, _doubles),
 
 @given(st.lists(_segments, max_size=8))
 def test_write_segments_matches_segment_line(segs):
+    # inputs are endpoint pairs and clip results rows: the same
+    # coordinates write the same bytes
+    rows = [(*a, *b) for a, b in segs]
+    written = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "segs.txt"
-        write_segments(path, segs)
-        written = path.read_bytes()
-    assert written == "".join(segment_line(s) + "\n" for s in segs).encode()
+        for given in (segs, rows):
+            write_segments(path, given)
+            written.append(path.read_bytes())
+    assert written == 2 * [
+        "".join(segment_line(s) + "\n" for s in segs).encode()]
 
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])

@@ -253,8 +253,8 @@ def test_exact_accepts_fraction_inputs():
                                   ((5, 5), (5, 15)),    # B moved
                                   ((-5, -5), (15, 15))])  # both moved
 def test_exact_results_are_new_plain_tuples(make, coord, a, b):
-    # the batch kernels' result contract: a new tuple of two new tuples,
-    # never an input object, and a kept coordinate is the input's own
+    # exact_clip's result contract: a new tuple of two new tuples, never
+    # an input object, and a kept coordinate is the input's own
     s = make(tuple(map(coord, a)), tuple(map(coord, b)))
     r = exact_clip(s, W)
     assert type(r) is tuple and r is not s and len(r) == 2
