@@ -49,7 +49,6 @@ def cs_clip_segments(segments, w: Window,
     xl, xr, yb, yt = w
     ic = 0
     out = []
-    append = out.append
     for (x1, y1), (x2, y2) in segments:
         code1 = INSIDE
         if x1 < xl:
@@ -101,9 +100,9 @@ def cs_clip_segments(segments, w: Window,
                 x2, y2, code2 = x, y, ncode
 
         if code1 | code2:
-            append(None)
+            out.append(None)
         else:
-            append((x1, y1, x2, y2))
+            out.append((x1, y1, x2, y2))
 
     counters.predicate_evals += 2 * len(out) + ic
     counters.divisions += ic
@@ -141,7 +140,6 @@ def lb_clip_segments(segments, w: Window,
     zp = 0
     ic = 0
     out = []
-    append = out.append
     for (x1, y1), (x2, y2) in segments:
         dx = x2 - x1
         dy = y2 - y1
@@ -154,7 +152,7 @@ def lb_clip_segments(segments, w: Window,
             zp += 1
             if q < 0.0:
                 sk += 3
-                append(None)  # parallel to this boundary and outside it
+                out.append(None)  # parallel to this boundary and outside it
                 continue
         else:
             r = q / p
@@ -165,7 +163,7 @@ def lb_clip_segments(segments, w: Window,
                 t1 = r
             if t0 > t1:
                 sk += 3
-                append(None)  # no parameter satisfies every constraint
+                out.append(None)  # no parameter satisfies every constraint
                 continue
         # right: p = dx, q = xr - x1
         q = xr - x1
@@ -173,7 +171,7 @@ def lb_clip_segments(segments, w: Window,
             zp += 1
             if q < 0.0:
                 sk += 2
-                append(None)
+                out.append(None)
                 continue
         else:
             r = q / dx
@@ -184,7 +182,7 @@ def lb_clip_segments(segments, w: Window,
                 t1 = r
             if t0 > t1:
                 sk += 2
-                append(None)
+                out.append(None)
                 continue
         # bottom: p = -dy, q = y1 - yb
         p = -dy
@@ -193,7 +191,7 @@ def lb_clip_segments(segments, w: Window,
             zp += 1
             if q < 0.0:
                 sk += 1
-                append(None)
+                out.append(None)
                 continue
         else:
             r = q / p
@@ -204,14 +202,14 @@ def lb_clip_segments(segments, w: Window,
                 t1 = r
             if t0 > t1:
                 sk += 1
-                append(None)
+                out.append(None)
                 continue
         # top: p = dy, q = yt - y1
         q = yt - y1
         if dy == 0.0:
             zp += 1
             if q < 0.0:
-                append(None)
+                out.append(None)
                 continue
         else:
             r = q / dy
@@ -221,7 +219,7 @@ def lb_clip_segments(segments, w: Window,
             elif r < t1:
                 t1 = r
             if t0 > t1:
-                append(None)
+                out.append(None)
                 continue
         # B first, so that both moves start from the input's A
         if t1 < 1.0:
@@ -230,7 +228,7 @@ def lb_clip_segments(segments, w: Window,
         if t0 > 0.0:
             ic += 1
             x1, y1 = x1 + t0 * dx, y1 + t0 * dy
-        append((x1, y1, x2, y2))
+        out.append((x1, y1, x2, y2))
 
     pe = 4 * len(out) - sk
     counters.predicate_evals += pe
@@ -277,5 +275,5 @@ def clip_many(clip: ClipFn, segments, w: Window,
     kernel = getattr(clip, "kernel", None)
     if kernel is None:
         return [None if (r := clip(s, w, counters)) is None
-                else (*r[0], *r[1]) for s in segments]
+                else r[0] + r[1] for s in segments]
     return kernel(segments, w, counters)

@@ -5,14 +5,15 @@ half-planes in integer arithmetic, and only with those an endpoint lies
 strictly beyond.  Every finite double is a rational with a power-of-two
 denominator, so the conversion is lossless: float coordinates are scaled by
 one power of two per window, chosen from the window's magnitude and applied
-as two float factors (so that [0,1e-300]^2's 2**1049 works too), and any
-coordinate that scale leaves fractional (or an int, a Fraction, or a window
-with non-dyadic bounds) goes over the lcm of all denominators instead.  The
-latest window's frame is kept for the next call.  The decision is exact,
-and each moved endpoint coordinate off the window edge is rounded once, to
-the nearest float, which makes it a trustworthy referee for the
-floating-point clippers: `check_equivalence` replays a seeded corpus
-through a clipper and the oracle and reports any disagreement.
+as one float factor, or as two beyond the largest float (so that
+[0,1e-300]^2's 2**1049 works too), and any coordinate that scale leaves
+fractional (or an int, a Fraction, or a window with non-dyadic bounds)
+goes over the lcm of all denominators instead.  The latest window's frame
+is kept for the next call.  The decision is exact, and each moved endpoint
+coordinate off the window edge is rounded once, to the nearest float,
+which makes it a trustworthy referee for the floating-point clippers:
+`check_equivalence` replays a seeded corpus through a clipper and the
+oracle and reports any disagreement.
 """
 
 from __future__ import annotations
@@ -94,16 +95,16 @@ def _window_frame(w: Window) -> tuple:
     XL..YT are the bounds as integers over D, and fxl..fyt the floats
     nearest them (-0.0 becomes 0.0).  When the bounds are dyadic, D is 2**K,
     with K chosen from the window's magnitude m = max(|bound|, extent) so
-    that every float down to 2**-10 ulp(m) is an integer at D, and S1 * S2
-    is D split into two float factors, S1 = 2**min(K, 1023) and
-    S2 = 2**max(K - 1023, 0): for a float x, x * S1 * S2 is then x * D
-    exactly, or an overflow to inf.  For float bounds K is at most 1136;
-    when the bounds are not dyadic, or are Fractions that need K > 2046,
-    S1 and S2 are NaN, so that no coordinate passes the
-    `(x * S1 * S2).is_integer()` test.
+    that every float down to 2**-10 ulp(m) is an integer at D.  For K <=
+    1023, D is the float S1 and S2 is None: for a float x, x * S1 is x * D
+    exactly, or an overflow to inf.  Beyond, D is split into two float
+    factors, S1 = 2**1023 and S2 = 2**(K - 1023), and x * S1 * S2 is x * D
+    exactly or inf.  For float bounds K is at most 1136; when the bounds
+    are not dyadic, or are Fractions that need K > 2046, S1 is NaN and S2
+    None, so that no coordinate passes the `(x * S1).is_integer()` test.
     """
     D, (XL, XR, YB, YT) = _over_lcm(w)
-    S1 = S2 = math.nan
+    S1, S2 = math.nan, None
     k = D.bit_length() - 1
     if D == 1 << k:
         # frexp(m)[1], the binary exponent of the window's magnitude
@@ -112,8 +113,10 @@ def _window_frame(w: Window) -> tuple:
         K = max(k, 63 - e)
         D <<= K - k
         XL, XR, YB, YT = (v << (K - k) for v in (XL, XR, YB, YT))
-        if K < 2047:
-            S1, S2 = 2.0 ** min(K, 1023), 2.0 ** max(K - 1023, 0)
+        if K < 1024:
+            S1 = 2.0 ** K
+        elif K < 2047:
+            S1, S2 = 2.0 ** 1023, 2.0 ** (K - 1023)
     return D, XL, XR, YB, YT, S1, S2, XL / D, XR / D, YB / D, YT / D
 
 
@@ -139,8 +142,8 @@ def exact_clip(s: SegmentTuple, w: Window) -> Optional[SegmentTuple]:
     float, int and Fraction (so such a segment is rejected even when it
     holds an infinity, or a NaN on the other axis).  Every other segment
     is converted to integers: when all four coordinates are floats whole
-    at the window's power-of-two scale S1 * S2 (see `_window_frame`), each
-    is multiplied by it; otherwise (int, Fraction, finer floats, or a
+    at the window's power-of-two scale (see `_window_frame`), each is
+    multiplied by it; otherwise (int, Fraction, finer floats, or a
     window without such a scale) all go over the lcm of their denominators
     and the window's, where a NaN coordinate raises ValueError and an
     infinite one OverflowError.  At a window that is not hashable, such as
@@ -159,12 +162,19 @@ def exact_clip(s: SegmentTuple, w: Window) -> Optional[SegmentTuple]:
         frame = _window_frame(w)
         _last_frame = (w, frame)
     D, XL, XR, YB, YT, S1, S2, fxl, fxr, fyb, fyt = frame
-    if (x1.__class__ is float and y1.__class__ is float
-            and x2.__class__ is float and y2.__class__ is float
-            and (X1 := x1 * S1 * S2).is_integer()
-            and (Y1 := y1 * S1 * S2).is_integer()
-            and (X2 := x2 * S1 * S2).is_integer()
-            and (Y2 := y2 * S1 * S2).is_integer()):
+    if (x1.__class__ is not float or y1.__class__ is not float
+            or x2.__class__ is not float or y2.__class__ is not float):
+        whole = False
+    elif S2 is None:  # the scale is one float
+        whole = ((X1 := x1 * S1).is_integer() and (Y1 := y1 * S1).is_integer()
+                 and (X2 := x2 * S1).is_integer()
+                 and (Y2 := y2 * S1).is_integer())
+    else:  # the scale is beyond the largest float: two factors
+        whole = ((X1 := x1 * S1 * S2).is_integer()
+                 and (Y1 := y1 * S1 * S2).is_integer()
+                 and (X2 := x2 * S1 * S2).is_integer()
+                 and (Y2 := y2 * S1 * S2).is_integer())
+    if whole:
         X1, Y1, X2, Y2 = int(X1), int(Y1), int(X2), int(Y2)
         scale = D
     else:
@@ -177,32 +187,42 @@ def exact_clip(s: SegmentTuple, w: Window) -> Optional[SegmentTuple]:
     # raise lo above 0, and only one that the second lies beyond can lower
     # hi below 1; the same-side test above left the other endpoint on the
     # window's side of it, which fixes the sign of dx or dy.  lo_y (hi_y)
-    # is None while lo (hi) comes from an x edge, whose float is lo_x (hi_x).
+    # is None while lo (hi) comes from an x edge, whose float is lo_x (hi_x),
+    # and both are None while lo is 0 (hi is 1).  A y edge beyond the first
+    # endpoint raises lo above 0, so it replaces an unmoved lo without a
+    # test, and likewise for hi.
     lo_n, lo_d, lo_x, lo_y = 0, 1, None, None
     if x1 < xl:
         lo_n, lo_d, lo_x = XL - X1, dx, fxl
     elif x1 > xr:
         lo_n, lo_d, lo_x = X1 - XR, -dx, fxr
     if y1 < yb:
-        if (YB - Y1) * lo_d > lo_n * dy:
-            lo_n, lo_d, lo_y = YB - Y1, dy, fyb
+        n = YB - Y1
+        if lo_x is None or n * lo_d > lo_n * dy:
+            lo_n, lo_d, lo_y = n, dy, fyb
     elif y1 > yt:
-        if (Y1 - YT) * lo_d > lo_n * -dy:
-            lo_n, lo_d, lo_y = Y1 - YT, -dy, fyt
+        n = Y1 - YT
+        if lo_x is None or n * lo_d > lo_n * -dy:
+            lo_n, lo_d, lo_y = n, -dy, fyt
     hi_n, hi_d, hi_x, hi_y = 1, 1, None, None
     if x2 < xl:
         hi_n, hi_d, hi_x = X1 - XL, -dx, fxl
     elif x2 > xr:
         hi_n, hi_d, hi_x = XR - X1, dx, fxr
     if y2 < yb:
-        if (Y1 - YB) * hi_d < hi_n * -dy:
-            hi_n, hi_d, hi_y = Y1 - YB, -dy, fyb
+        n = Y1 - YB
+        if hi_x is None or n * hi_d < hi_n * -dy:
+            hi_n, hi_d, hi_y = n, -dy, fyb
     elif y2 > yt:
-        if (YT - Y1) * hi_d < hi_n * dy:
-            hi_n, hi_d, hi_y = YT - Y1, dy, fyt
-    if lo_n * hi_d > hi_n * lo_d:
-        return None
+        n = YT - Y1
+        if hi_x is None or n * hi_d < hi_n * dy:
+            hi_n, hi_d, hi_y = n, dy, fyt
+    # with the first endpoint kept, lo = 0 <= hi, since the second lies
+    # on the window's side of every edge the first does; with the second
+    # kept, lo <= 1 = hi: only when both moved can the interval be empty
     if lo_n:
+        if hi_n != hi_d and lo_n * hi_d > hi_n * lo_d:
+            return None
         d = scale * lo_d
         if lo_y is None:
             x1, y1 = lo_x, (Y1 * lo_d + dy * lo_n) / d
@@ -283,7 +303,7 @@ def check_equivalence(clipper, spec: GeneratorSpec, w: Window,
             _cached = entry = None
             segments = gen_segments(spec)
             _cached = entry = (key, segments, [
-                None if (e := exact_clip(s, w)) is None else (*e[0], *e[1])
+                None if (e := exact_clip(s, w)) is None else e[0] + e[1]
                 for s in segments])
         _, segments, exacts = entry
         report = EquivalenceReport(clipper=clipper, tolerance=tolerance,

@@ -159,7 +159,6 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
     pe = 0
     ic = 0
     out = []
-    append = out.append
     for (ax, ay), (bx, by) in segments:
         for _ in (0, 1):
             # x section: a predicate rejection (passes above the top or
@@ -226,9 +225,9 @@ def clip_segments(segments, w: Window, counters: Counters) -> list[ClipResult]:
             ay, by = by, ay
         else:
             # the role swap ran twice, so (ax, ay) is endpoint A again
-            append((ax, ay, bx, by))
+            out.append((ax, ay, bx, by))
             continue
-        append(None)
+        out.append(None)
 
     counters.predicate_evals += pe + 2 * ic
     counters.divisions += ic

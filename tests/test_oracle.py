@@ -73,24 +73,6 @@ def _assert_rounds(s, got, want):
             assert [repr(v) for v in p] == [repr(float(v)) for v in exact]
 
 
-def test_exact_corner_touch_single_point():
-    r = exact_clip(Segment(Point(-5.0, 5.0), Point(5.0, -5.0)), W)
-    assert r == ((0, 0), (0, 0))
-    assert r[0] == r[1]
-
-
-def test_exact_diagonal_quarter_interval():
-    # the four half-plane constraints pin t to [1/4, 3/4]
-    r = exact_clip(Segment(Point(-5.0, -5.0), Point(15.0, 15.0)), W)
-    assert r == Segment(Point(0, 0), Point(10, 10))
-    assert all(type(v) is float for p in r for v in p)
-
-
-def test_exact_rejects_disjoint_intervals():
-    # x >= 0 forces t in [2/3, 1]; y <= 10 forces t in [0, 1/5]
-    assert exact_clip(Segment(Point(-2.0, 9.0), Point(1.0, 14.0)), W) is None
-
-
 def test_exact_fractional_result():
     s = Segment(Point(-2.0, -5.0), Point(8.0, 7.0))
     r = exact_clip(s, W)
@@ -98,6 +80,47 @@ def test_exact_fractional_result():
     assert r[1][0] is s.b.x and r[1][1] is s.b.y
     ref = frac_clip(((-2, -5), (8, 7)), (0, 10, 0, 10))
     _assert_rounds(s, r, ref)
+
+
+# Boundary cases where an endpoint lies exactly on an edge or a corner, or
+# where the same-side test leaves an outcome fixed before any comparison of
+# integer fractions: each result is pinned by repr, which tells -0.0 from
+# 0.0, and checked against the Fraction reference
+@pytest.mark.parametrize("s, want", [
+    # lo = 1/11 from the right edge, hi = 0 from the bottom edge
+    (((11.0, 0.0), (0.0, -1.0)), "None"),
+    # A on the bottom-left corner, B below it
+    (((0.0, 0.0), (0.0, -1.0)), "((0.0, 0.0), (0.0, 0.0))"),
+    # A on an edge, B beyond it; a kept A keeps its -0.0, and a moved B
+    # takes the edge's 0.0
+    (((10.0, 5.0), (12.0, 7.0)), "((10.0, 5.0), (10.0, 5.0))"),
+    (((-0.0, 5.0), (-3.0, 2.0)), "((-0.0, 5.0), (0.0, 5.0))"),
+    # B on the top edge, A beyond the bottom one
+    (((5.0, -5.0), (7.5, 10.0)), "((5.833333333333333, 0.0), (7.5, 10.0))"),
+    # along an edge
+    (((0.0, -5.0), (0.0, 15.0)), "((0.0, 0.0), (0.0, 10.0))"),
+    (((15.0, 10.0), (5.0, 10.0)), "((10.0, 10.0), (5.0, 10.0))"),
+    # touching one corner only
+    (((9.0, 11.0), (11.0, 9.0)), "((10.0, 10.0), (10.0, 10.0))"),
+    (((-5.0, 5.0), (5.0, -5.0)), "((0.0, 0.0), (0.0, 0.0))"),
+    # both ends moved on the same axis
+    (((-5.0, 3.0), (15.0, 8.0)), "((0.0, 4.25), (10.0, 6.75))"),
+    (((12.0, 5.0), (-1.0, 8.0)),
+     "((10.0, 5.461538461538462), (0.0, 7.769230769230769))"),
+    (((3.0, -5.0), (6.0, 15.0)), "((3.75, 0.0), (5.25, 10.0))"),
+    # both moved, by all four constraints, which pin t to [1/4, 3/4]
+    (((-5.0, -5.0), (15.0, 15.0)), "((0.0, 0.0), (10.0, 10.0))"),
+    # x >= 0 forces t into [2/3, 1], y <= 10 into [0, 1/5]
+    (((-2.0, 9.0), (1.0, 14.0)), "None"),
+], ids=["rejected-lo-above-hi", "corner-point", "on-edge-beyond",
+        "negative-zero-on-edge", "on-edge-moved", "along-left-edge",
+        "along-top-edge", "corner-touch", "corner-touch-bottom-left",
+        "both-moved-x", "both-moved-x-reversed", "both-moved-y",
+        "both-moved-diagonal", "rejected-disjoint-intervals"])
+def test_exact_boundary_cases(s, want):
+    got = exact_clip(s, W)
+    assert repr(got) == want
+    _assert_rounds(s, got, frac_clip(s, W))
 
 
 @given(finite_segments)
