@@ -136,16 +136,23 @@ def test_exact_matches_reference_on_mixed_types(s, w):
 
 
 # Windows whose power-of-two scale differs from the unit window's, down to
-# ones beyond the largest finite float (1e-300 needs 2**1049 and 1e-310
+# ones beyond the largest finite float (1e-300 needs 2**1059 and 1e-310
 # 2**1092, each applied as two float factors): float coordinates at the
 # window's scale are whole at it, while much finer ones, down to the
 # smallest subnormal, are not and take the lcm path, as ints and Fractions
-# do.
+# do.  The scale is 2**K with K = max(k, 63 - e), where 2**k is the lcm of
+# the bounds' denominators and e the binary exponent of the window's
+# magnitude (frexp).  The last two windows sit on either side of the switch
+# from one float factor to two: [0, 2**-961]^2 has k = 961 and e = -960, so
+# K = 1023, one factor; [0, 2**-962]^2 has k = 962 and e = -961, so K =
+# 1024, applied as 2**1023 * 2.0.
 SCALED_WINDOWS = [Window(0.0, 1.0, 0.0, 1.0),
                   Window(1e14, 1e14 + 10.0, 1e14, 1e14 + 10.0),
                   Window(0.0, 1e160, 0.0, 1e160),
                   Window(0.0, 1e-300, 0.0, 1e-300),
-                  Window(0.0, 1e-310, 0.0, 1e-310)]
+                  Window(0.0, 1e-310, 0.0, 1e-310),
+                  Window(0.0, 2.0**-961, 0.0, 2.0**-961),
+                  Window(0.0, 2.0**-962, 0.0, 2.0**-962)]
 FINE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1e-30, -1e-30]
 
 
